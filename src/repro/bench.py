@@ -280,8 +280,9 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
     a quarter pins the hot set, the rest backs the pool, partitions sized
     to half the pool. The leg is a correctness gate as much as a perf
     probe: the partitioned itemsets must be identical to the in-core
-    mine's, and the prefetcher must actually hit (``prefetch_hits > 0``)
-    or the read-ahead machinery has silently stopped earning its thread.
+    mine's, the prefetcher must actually hit (``prefetch_hits > 0``) or
+    the read-ahead machinery has silently stopped earning its thread, and
+    ``bytes_read`` must stay under ``(partitions + 1) * file_bytes``.
     """
     import tempfile
 
@@ -314,7 +315,9 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-ooc-") as tmp:
         path = f"{tmp}/ooc.cfpa"
-        save_cfp_array_partitioned(array, path, partition_bytes=partition_bytes)
+        file_bytes = save_cfp_array_partitioned(
+            array, path, partition_bytes=partition_bytes
+        )
         with PartitionedCfpArray(
             path, pool_pages=pool_pages, hot_bytes=hot_bytes
         ) as disk:
@@ -341,7 +344,9 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
                     round(wall / incore_wall, 2) if incore_wall > 0 else None
                 ),
                 "faults": stats.faults,
+                "file_bytes": file_bytes,
                 "bytes_read": stats.bytes_read,
+                "read_amplification": round(stats.bytes_read / array_bytes, 2),
                 "prefetched": stats.prefetched,
                 "prefetch_hits": stats.prefetch_hits,
                 "prefetch_hit_rate": (
@@ -1065,6 +1070,18 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 "error: out-of-core leg recorded no prefetch hits "
                 "(read-ahead is not reaching the pool before demand does)",
+                file=sys.stderr,
+            )
+            return 1
+        ceiling = (outofcore["partitions"] + 1) * outofcore["file_bytes"]
+        if outofcore["bytes_read"] > ceiling:
+            # Each partition's projection sweep reads a page at most
+            # once, plus one read-ahead pass over the file: more means
+            # the mine is walking the store again.
+            print(
+                f"error: out-of-core leg read {outofcore['bytes_read']:,} "
+                f"bytes, over the ceiling of {ceiling:,} "
+                f"((partitions + 1) x {outofcore['file_bytes']:,}-byte file)",
                 file=sys.stderr,
             )
             return 1

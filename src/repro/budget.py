@@ -123,7 +123,14 @@ def mine_with_budget(
 
     Conditional structures during mining are not charged against the
     budget (they are transient and small relative to the initial array;
-    §3.5). Returns the itemsets and a report of the decision.
+    §3.5). Neither is a partition's projection on the out-of-core path
+    (:meth:`CfpArray.project`): 16 bytes for every node its sweep reaches
+    — the partition's nodes and all their ancestors, at most the whole
+    array — held while that partition is mined. Neither fits in the
+    budget: on quest-ooc at a tenth of the array, the mine phase's
+    ``tracemalloc`` peak is 27 times the budget with projection and was
+    16 times without (docs/performance.md §6). Returns the itemsets and a
+    report of the decision.
 
     Out-of-core spills default to the partitioned tiered store (format
     v3): the budget splits into a pinned hot set of the most frequent
@@ -156,9 +163,9 @@ def mine_with_budget(
         )
     elif partitioned:
         # Tiered split: a quarter of the budget pins the hot set (the
-        # most frequent ranks, which every ancestor walk lands in), the
-        # rest backs the buffer pool. Partitions at half the pool let the
-        # active partition and its read-ahead co-reside.
+        # most frequent ranks, which every partition's projection
+        # reaches), the rest backs the buffer pool. Partitions at half the
+        # pool let the active partition and its read-ahead co-reside.
         hot_bytes = memory_budget // 4
         pool_budget = memory_budget - hot_bytes
         pool_pages = max(MIN_POOL_PAGES, pool_budget // PAGE_SIZE)

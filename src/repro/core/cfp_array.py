@@ -29,9 +29,12 @@ delta_item``; ``parent_local = local - dpos``; the parent's global offset is
 
 from __future__ import annotations
 
+import heapq
 import threading
+from array import array
 from collections import OrderedDict
-from typing import Iterator, Sequence, Union
+from collections.abc import Mapping
+from typing import Iterable, Iterator, Sequence, Union
 
 from repro.compress import varint
 from repro.errors import TreeError
@@ -194,6 +197,65 @@ class _SubarrayCache:
                 "evictions": self.evictions,
                 "rejected": self.rejected,
             }
+
+
+class Projection(Mapping[int, list[tuple[tuple[int, ...], int]]]):
+    """Prefix paths of a rank set, from one :meth:`CfpArray.project` sweep.
+
+    ``projection[rank] == prefix_paths(rank)`` for every requested rank.
+    The sweep keeps only the parent and the rank of every node it reached,
+    in two int64 columns. A lookup builds that one rank's paths from them,
+    through a memo that lives for the lookup, so the paths of a whole rank
+    set never exist at once: a caller that mines one rank at a time holds
+    one rank's paths plus 16 bytes per reached node.
+    """
+
+    __slots__ = ("_parents", "_node_ranks", "_requested")
+
+    def __init__(
+        self,
+        parents: array[int],
+        node_ranks: array[int],
+        requested: dict[int, tuple[array[int], Sequence[int]]],
+    ) -> None:
+        self._parents = parents
+        self._node_ranks = node_ranks
+        self._requested = requested
+
+    def __getitem__(self, rank: int) -> list[tuple[tuple[int, ...], int]]:
+        nodes, counts = self._requested[rank]
+        parents = self._parents
+        node_ranks = self._node_ranks
+        memo: dict[int, tuple[int, ...]] = {}
+        lookup = memo.get
+        paths: list[tuple[tuple[int, ...], int]] = []
+        for node, count in zip(nodes, counts):
+            # Climb to the root or to a node whose path is memoized, then
+            # unwind, extending each parent's path by the parent's rank.
+            chain: list[int] = []
+            while True:
+                parent = parents[node]
+                if parent < 0:
+                    path: tuple[int, ...] = ()
+                    break
+                cached = lookup(parent)
+                if cached is not None:
+                    path = cached + (node_ranks[parent],)
+                    break
+                chain.append(node)
+                node = parent
+            memo[node] = path
+            for child in reversed(chain):
+                path = path + (node_ranks[parents[child]],)
+                memo[child] = path
+            paths.append((path, count))
+        return paths
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._requested)
+
+    def __len__(self) -> int:
+        return len(self._requested)
 
 
 class CfpArray:
@@ -388,27 +450,27 @@ class CfpArray:
         """Prefix paths of every node in ``rank``'s subarray, in storage order.
 
         Returns ``(ancestor_ranks_ascending, count)`` per node — the input
-        of conditional-tree construction. Ancestor chains are resolved
-        through a per-array memo of finished paths: a node's path is its
-        parent's path plus one rank, so every node in the array is walked
-        **once** ever, no matter how many subarrays share its ancestors
-        (the old per-call walk re-traversed shared chains node by node,
-        rank after rank). On cache-enabled arrays the memo persists across
-        calls; otherwise it lives for one call. ``count`` is never touched
-        on the backward walk (§3.4's field-order rationale).
+        of conditional-tree construction. On cache-enabled arrays ancestor
+        chains are resolved through a persistent per-array memo of
+        finished paths: a node's path is its parent's path plus one rank,
+        so every node in the array is walked **once** ever, no matter how
+        many subarrays share its ancestors. Without a cache a walk would
+        re-decode an ancestor subarray at every step, so the call is
+        :meth:`project` over the one rank instead, which decodes each
+        ancestor subarray once. ``count`` is never touched on the backward
+        walk (§3.4's field-order rationale).
         """
+        if self._cache is None:
+            return self.project((rank,))[rank]
         entry = self.subarray_columns(rank)
-        if self._cache is not None:
-            # The memo itself needs no lock: every write is idempotent (a
-            # node's path is a pure function of the buffer) and dict
-            # get/set are atomic under the GIL. Two threads racing the
-            # lazy init at worst memoize into a dict that loses the
-            # assignment race — wasted work, never a wrong path.
-            memo = self._path_memo
-            if memo is None:
-                memo = self._path_memo = {}
-        else:
-            memo = {}
+        # The memo itself needs no lock: every write is idempotent (a
+        # node's path is a pure function of the buffer) and dict get/set
+        # are atomic under the GIL. Two threads racing the lazy init at
+        # worst memoize into a dict that loses the assignment race —
+        # wasted work, never a wrong path.
+        memo = self._path_memo
+        if memo is None:
+            memo = self._path_memo = {}
         lookup = memo.get
         key_base = rank << _LOCAL_BITS
         paths: list[tuple[tuple[int, ...], int]] = []
@@ -469,6 +531,96 @@ class CfpArray:
             base = base + (parent_rank,)
             memo[key] = base
         return base
+
+    def project(self, ranks: Iterable[int]) -> Projection:
+        """Prefix paths of every node of ``ranks``, resolved in one sweep.
+
+        Returns a :class:`Projection`: ``project(ranks)[rank] ==
+        prefix_paths(rank)`` for every requested rank — the projected
+        conditional databases of Grahne & Zhu's secondary-memory
+        FP-growth, resolved for a whole set of ranks at once. Parents
+        always sit at lower ranks, so one sweep down the ranks, highest
+        first, meets every ancestor after all of its descendants: each
+        visited subarray is decoded **once**, only the nodes some requested
+        node descends from are looked up in it, and it is dropped before
+        the next rank is decoded. The sweep keeps each node's parent and
+        rank, not its path; paths are built one rank at a time on lookup.
+
+        On a paged array the sweep reads the requested ranks and their
+        ancestor subarrays in descending file order, so each page is
+        fetched at most once per call. A ``dpos`` chain that lands
+        mid-node, or a ``delta_item`` that does not point to a lower rank,
+        raises :class:`TreeError`.
+        """
+        targets = set(ranks)
+        # Per node id, as flat int64 columns (16 bytes a node):
+        parents = array("q")  # -1: a child of the root
+        node_ranks = array("q")
+        # Ancestors met but not yet visited: rank -> {local: node id}.
+        pending: dict[int, dict[int, int]] = {}
+        requested: dict[int, tuple[array[int], Sequence[int]]] = {}
+        heap = [-rank for rank in targets]
+        heapq.heapify(heap)
+        while heap:
+            rank = -heapq.heappop(heap)
+            entry = self.subarray_columns(rank)
+            waiting = pending.pop(rank, {})
+            nodes = array("q")
+            indices: Iterable[int]
+            if rank in targets:
+                for local in entry.locals:
+                    node = waiting.pop(local, None)
+                    if node is None:
+                        node = len(parents)
+                        parents.append(-1)
+                        node_ranks.append(rank)
+                    nodes.append(node)
+                requested[rank] = (nodes, entry.counts)
+                indices = range(len(nodes))
+                missing = next(iter(waiting), None)
+            else:
+                found: list[int] = []
+                missing = None
+                for local, node in waiting.items():
+                    index = entry.index_of(local)
+                    if index is None:
+                        missing = local
+                        break
+                    found.append(index)
+                    nodes.append(node)
+                indices = found
+            if missing is not None:
+                # A parent link of an already-visited node lands here,
+                # but not where a node starts.
+                raise TreeError(
+                    f"dpos chain lands at rank {rank} local {missing}, "
+                    f"not a node start"
+                )
+            locals_col = entry.locals
+            delta_items = entry.delta_items
+            dposes = entry.dposes
+            for index, node in zip(indices, nodes):
+                parent_rank = rank - delta_items[index]
+                if parent_rank == 0:
+                    continue
+                parent_local = locals_col[index] - dposes[index]
+                if not 0 < parent_rank < rank:
+                    raise TreeError(
+                        f"node at rank {rank} local {locals_col[index]} points "
+                        f"to rank {parent_rank}, not a lower rank"
+                    )
+                above = pending.get(parent_rank)
+                if above is None:
+                    above = pending[parent_rank] = {}
+                    if parent_rank not in targets:
+                        heapq.heappush(heap, -parent_rank)
+                parent = above.get(parent_local)
+                if parent is None:
+                    parent = above[parent_local] = len(parents)
+                    parents.append(-1)
+                    node_ranks.append(parent_rank)
+                parents[node] = parent
+        return Projection(parents, node_ranks, requested)
 
     def node_at(self, rank: int, local: int) -> tuple[int, int, int]:
         """Decode the triple at a (rank, local-offset) position."""

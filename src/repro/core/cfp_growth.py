@@ -93,6 +93,13 @@ def mine_array(
     if tracer is not None and not suffix:
         _mine_array_traced(array, min_support, collector, meter, tracer)
         return
+    if suffix and not array.cache_budget:
+        # An uncached conditional array is already in memory: one sweep
+        # over all its ranks decodes each subarray once, where one sweep
+        # per rank decodes the shared ancestors again for every rank.
+        ranks = list(array.active_ranks_descending())
+        _mine_projected(array, ranks, min_support, collector, suffix, meter)
+        return
     for rank in array.active_ranks_descending():
         mine_rank(array, rank, min_support, collector, suffix, meter)
     if meter is not None and not suffix:
@@ -116,18 +123,46 @@ def mine_array_partitioned(
     traversal interface. Partitions are visited in descending rank order
     and ranks descending within each, which concatenates to exactly
     :func:`mine_array`'s global least-frequent-first order — the output
-    is byte-identical to the monolithic mine. ``begin_partition`` hands
-    the scheduler's next-partition hint to the array's background
-    prefetcher before the active partition is scanned, so sequential
-    read-ahead overlaps the columnar mine work: only the active
-    partition, the read-ahead, and the pinned hot set need be resident.
+    is byte-identical to the monolithic mine.
+
+    Each partition is projected once (:meth:`CfpArray.project`): one
+    sweep down the ranks resolves the parent links of every node in the
+    partition and of all their ancestors, decoding each ancestor subarray
+    once, and the partition's ranks are then mined from the projection
+    without touching the store again. ``begin_partition`` hands the
+    scheduler's next-partition hint to the array's background prefetcher
+    before the sweep starts, so the read-ahead of the next lower partition
+    overlaps the work on this one. Resident at any time: the pool, the
+    pinned hot set, the projection (16 bytes per node the sweep reached)
+    and, while a rank is mined, that one rank's paths.
     """
     for part in array.partitions_descending():
         array.begin_partition(part.index)
-        for rank in array.active_ranks_in_partition(part):
-            mine_rank(array, rank, min_support, collector, (), meter)
+        ranks = array.active_ranks_in_partition(part)
+        _mine_projected(array, ranks, min_support, collector, (), meter)
     if meter is not None:
         meter.flush_mine_scans()
+
+
+def _mine_projected(
+    array: CfpArray,
+    ranks: list[int],
+    min_support: int,
+    collector: SupportCollector,
+    suffix: tuple[int, ...],
+    meter: Any,
+) -> None:
+    """Mine ``ranks`` (descending) from one :meth:`CfpArray.project` sweep.
+
+    The projection holds parent links only; each rank's paths are built
+    when the rank is mined and dropped with it.
+    """
+    projection = array.project(ranks)
+    for rank in ranks:
+        mine_rank(
+            array, rank, min_support, collector, suffix, meter,
+            projection[rank],
+        )
 
 
 def _mine_array_traced(
@@ -169,19 +204,29 @@ def mine_rank(
     collector: SupportCollector,
     suffix: tuple[int, ...] = (),
     meter: Any = None,
+    paths: list[tuple[tuple[int, ...], int]] | None = None,
 ) -> None:
     """Mine one top-level rank of ``array`` — the body of the outer loop.
 
     Exposed separately so the parallel miner (:mod:`repro.core.parallel`)
     can run per-rank tasks through exactly the serial code path, which is
     what makes worker output byte-identical to the serial miner's.
+
+    ``paths`` are the rank's prefix paths when the caller has already
+    projected them (:meth:`CfpArray.project`); the rank's support is then
+    the sum of their counts, and the rank's subarray is not read again.
     """
-    support = array.rank_support(rank)
+    if paths is None:
+        support = array.rank_support(rank)
+    else:
+        support = sum([count for __, count in paths])
     if support < min_support:
         return
     itemset = (rank,) + suffix
     collector.emit(itemset, support)
-    chain, cond_array = _conditional_struct(array, rank, min_support, meter)
+    chain, cond_array = _conditional_struct(
+        array, rank, min_support, meter, paths
+    )
     if chain is not None:
         # Degenerate (single-path) conditional: the chain already carries
         # the suffix-summed counts the tree's single_path() would report,
@@ -202,7 +247,11 @@ def mine_rank(
 
 
 def _conditional_struct(
-    array: CfpArray, rank: int, min_support: int, meter: Any = None
+    array: CfpArray,
+    rank: int,
+    min_support: int,
+    meter: Any = None,
+    paths: list[tuple[tuple[int, ...], int]] | None = None,
 ) -> tuple[list[tuple[int, int]] | None, CfpArray | None]:
     """Build ``rank``'s conditional structure via the columnar kernels.
 
@@ -217,9 +266,11 @@ def _conditional_struct(
     determine the logical conditional trie, and
     :func:`repro.core.kernels.build_conditional_array` encodes that trie
     through the same splice/assemble primitives ``convert`` uses — the
-    intermediate ternary tree never exists.
+    intermediate ternary tree never exists. ``paths`` are the rank's
+    already-projected prefix paths, when the caller has them.
     """
-    paths = array.prefix_paths(rank)
+    if paths is None:
+        paths = array.prefix_paths(rank)
     if not paths:
         if meter is not None:
             meter._scan_ops += 1

@@ -41,6 +41,10 @@ from repro.streaming.snapshots import SnapshotError, SnapshotManager
 #: Default manifest poll cadence for the follow thread.
 DEFAULT_POLL_INTERVAL_S = 1.0
 
+#: Opens the constructor tries while the writer keeps retiring the
+#: generation it just read (see :meth:`FollowingStore.__init__`).
+START_ATTEMPTS = 3
+
 
 class FollowingStore:
     """Query facade over the newest generation in a snapshot directory.
@@ -49,6 +53,12 @@ class FollowingStore:
     (it performs the first :meth:`refresh` itself and raises
     :class:`SnapshotError` otherwise). Thereafter the store *always* has
     a live generation; flips only ever move it forward.
+
+    The writer is usually another process, which cannot see this
+    process's pin: it may publish a newer generation and retire the one
+    just acquired before it is opened. The first refresh is therefore
+    retried, up to :data:`START_ATTEMPTS` opens in all, as long as the
+    manifest has moved past the generation that failed to open.
     """
 
     def __init__(
@@ -77,12 +87,29 @@ class FollowingStore:
         self._interval_s = DEFAULT_POLL_INTERVAL_S
         self._closed = False
         self.errors: list[str] = []
-        if not self.refresh() or self._store is None:
-            detail = self.errors[-1] if self.errors else "no manifest"
-            raise SnapshotError(
-                f"{self.manager.directory}: no loadable snapshot generation "
-                f"({detail})"
-            )
+        #: Generation whose files the last :meth:`refresh` failed to open.
+        self._open_failed: int | None = None
+        for __ in range(START_ATTEMPTS):
+            self._open_failed = None
+            if self.refresh():
+                return
+            if not self._writer_moved_on():
+                break
+        detail = self.errors[-1] if self.errors else "no manifest"
+        raise SnapshotError(
+            f"{self.manager.directory}: no loadable snapshot generation "
+            f"({detail})"
+        )
+
+    def _writer_moved_on(self) -> bool:
+        """Whether the manifest is past the generation that failed to open."""
+        if self._open_failed is None:
+            return False
+        try:
+            state = self.manager.current()
+        except SnapshotError:
+            return False
+        return state is not None and state[0] > self._open_failed
 
     # -- flip machinery -------------------------------------------------
 
@@ -120,6 +147,7 @@ class FollowingStore:
         except (ReproError, OSError) as exc:
             self.manager.release(generation)
             self.errors.append(f"generation {generation}: {exc}")
+            self._open_failed = generation
             return False
         close_now: tuple[int, ServingStore] | None = None
         with self._lock:

@@ -6,20 +6,20 @@ traversal interface from a partitioned store while keeping resident only:
 * the item index (``starts``) — the paper's "small item index",
 * a **pinned hot set**: the most frequent ranks' encoded subarrays, read
   once at open and held outside the buffer pool. Ranks *are* the item
-  table's frequency order (rank 1 = most frequent), and every backward
-  ancestor walk moves strictly toward lower ranks, so the hot set absorbs
-  exactly the cross-partition traffic that would otherwise thrash the
-  pool while a high-rank partition is being mined,
-* a :class:`~repro.storage.bufferpool.BufferPool` over the page file for
-  the active partition's pages, and
+  table's frequency order (rank 1 = most frequent), and every ancestor
+  lies at a lower rank, so these are the subarrays every partition's
+  projection reaches,
+* a :class:`~repro.storage.bufferpool.BufferPool` over the page file, and
 * the optional decoded-subarray LRU cache shared with every other reader.
 
 The mine loop (:func:`repro.core.cfp_growth.mine_array_partitioned`)
-visits partitions in descending rank order and calls
-:meth:`begin_partition` before mining each one; that hands the next
-partition(s) in schedule order to a background
-:class:`~repro.storage.bufferpool.Prefetcher`, so sequential read-ahead
-overlaps the columnar mine of the active partition. ``REPRO_PREFETCH=0``
+visits partitions in descending rank order. For each one it calls
+:meth:`begin_partition`, then projects the partition once
+(:meth:`CfpArray.project`): a single sweep down the ranks that reads
+each page of the partition and of the lower partitions at most once.
+:meth:`begin_partition` hands the next partition(s) in schedule order to
+a background :class:`~repro.storage.bufferpool.Prefetcher`, so their
+pages stream in while the sweep works on this one. ``REPRO_PREFETCH=0``
 disables the thread; ``REPRO_PREFETCH_DEPTH`` sets how many partitions
 ahead to request (default 1). Prefetch is pure opportunism — answers are
 identical with it off, dead, or fault-injected (``pagefile.prefetch``).
@@ -55,8 +55,8 @@ class PartitionedCfpArray(CfpArray):
     :class:`~repro.storage.cfp_store.PooledCfpArray` does: the buffer is
     never materialized (``self.buffer`` stays empty) and every
     buffer-touching method is overridden to resolve through the hot set
-    or the buffer pool. All recursive traversals (``prefix_paths``,
-    ``_resolve_path``, ``single_path``, ``rank_support``) funnel through
+    or the buffer pool. All recursive traversals (``project``,
+    ``prefix_paths``, ``single_path``, ``rank_support``) funnel through
     :meth:`subarray_columns`, so they run unchanged.
     """
 

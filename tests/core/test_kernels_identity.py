@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.compress import varint
 from repro.core import kernels
+from repro.core.cfp_array import CfpArray
 from repro.core.cfp_growth import (
     _conditional_struct,
     _conditional_tree_reference,
@@ -26,6 +29,7 @@ from repro.core.cfp_growth import (
 )
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
+from repro.errors import TreeError
 from repro.fptree.growth import ListCollector, mine_ranks
 from repro.util.items import prepare_transactions
 from tests.conftest import db_strategy, random_database
@@ -117,20 +121,65 @@ class TestConditionalStructIdentity:
             array, __ = build_array(random_database(seed), 2)
             self.check_array(array, 2)
 
-    def test_cache_budget_does_not_change_results(self):
+    @given(
+        database=db_strategy,
+        min_support=st.integers(min_value=1, max_value=3),
+        span=st.tuples(
+            st.integers(min_value=1, max_value=12),
+            st.integers(min_value=0, max_value=12),
+        ),
+    )
+    @example(database=random_database(7), min_support=2, span=(3, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_cache_budget_does_not_change_results(
+        self, database, min_support, span
+    ):
         # The persistent prefix-path memo (cache-enabled arrays) and the
-        # per-call memo must resolve the same paths.
-        array, __ = build_array(random_database(7), 2)
-        cached, __ = build_array(random_database(7), 2)
+        # one-sweep projection (uncached arrays, one rank or a rank set)
+        # must resolve the same paths.
+        array, n_ranks = build_array(database, min_support)
+        cached, __ = build_array(database, min_support)
         cached.set_cache_budget(1 << 16)
-        for rank in array.active_ranks_descending():
-            assert cached.prefix_paths(rank) == array.prefix_paths(rank)
-            chain, cond = _conditional_struct(cached, rank, 2)
-            want_chain, want_cond = _conditional_struct(array, rank, 2)
+        active = list(array.active_ranks_descending())
+        want = {rank: cached.prefix_paths(rank) for rank in active}
+        assert array.project(active) == want
+        first = min(span[0], n_ranks)
+        ranks = range(first, min(first + span[1], n_ranks) + 1) if first else ()
+        assert array.project(ranks) == {rank: want.get(rank, []) for rank in ranks}
+        for rank in active:
+            assert array.prefix_paths(rank) == want[rank]
+            chain, cond = _conditional_struct(cached, rank, min_support)
+            want_chain, want_cond = _conditional_struct(array, rank, min_support)
             assert chain == want_chain
             assert (cond is None) == (want_cond is None)
             if cond is not None:
                 assert_identical_arrays(cond, want_cond)
+
+    def test_dpos_landing_mid_node_raises(self):
+        # Shift one node's dpos by one byte, keeping its encoded size, so
+        # its parent link lands inside the parent's triple.
+        array, __ = build_array(random_database(3), 2)
+        rank, local, delta_item, dpos, count = next(
+            (rank, local, delta_item, dpos, count)
+            for rank in array.active_ranks_descending()
+            for local, delta_item, dpos, count in array.decode_subarray(rank)
+            if delta_item < rank  # the node has a parent
+            and varint.triple_size(delta_item, dpos - 1, count)
+            == varint.triple_size(delta_item, dpos, count)
+        )
+        buffer = bytearray(array.buffer)
+        varint.encode_triples(
+            buffer, array.starts[rank] + local, [(delta_item, dpos - 1, count)]
+        )
+        cached = CfpArray(array.n_ranks, bytes(buffer), array.starts)
+        cached.set_cache_budget(1 << 16)
+        with pytest.raises(TreeError, match="not a node start"):
+            cached.prefix_paths(rank)
+        uncached = CfpArray(array.n_ranks, bytes(buffer), array.starts)
+        with pytest.raises(TreeError, match="not a node start"):
+            uncached.project([rank])
+        with pytest.raises(TreeError, match="not a node start"):
+            uncached.project(range(1, array.n_ranks + 1))
 
     def test_prefix_paths_match_path_ranks(self):
         # The memoized bulk walk agrees with the node-at-a-time backward

@@ -209,6 +209,31 @@ class TestPartitionedMining:
             mine_array_partitioned(disk, MIN_SUPPORT, got)
         assert got.itemsets == reference.itemsets
 
+    def test_faults_bounded_by_one_read_per_page_per_partition(
+        self, array, tmp_path
+    ):
+        # Each partition is projected in one sweep down the ranks, so
+        # mining partition p faults each page of partitions 0..p at most
+        # once. Read-ahead is off because its inserts can evict a demand
+        # page, and partitions of one page each keep every subarray inside
+        # a single page (a subarray straddling two pages can be faulted
+        # twice in a two-page pool).
+        reference = ListCollector()
+        mine_array(array, MIN_SUPPORT, reference)
+        path = tmp_path / "bound.cfpa"
+        save_cfp_array_partitioned(array, path, partition_bytes=1024)
+        with PartitionedCfpArray(path, pool_pages=2, prefetch=False) as disk:
+            parts = disk.partitions
+            assert len(parts) > 2 and all(part.pages == 1 for part in parts)
+            got = ListCollector()
+            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            faults = disk.pool.stats.faults
+        bound = sum(
+            sum(lower.pages for lower in parts[: part.index + 1]) for part in parts
+        )
+        assert got.itemsets == reference.itemsets
+        assert 0 < faults <= bound, (faults, bound)
+
     def test_traversal_interface_matches_in_core(self, array, tmp_path):
         path = tmp_path / "iface.cfpa"
         save_cfp_array_partitioned(array, path, partition_bytes=PAGE_SIZE)

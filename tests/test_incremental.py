@@ -29,6 +29,7 @@ from repro.core.ternary import TernaryCfpTree
 from repro.errors import StreamingError
 from repro.faultinject import InjectedFault
 from repro.fptree.growth import ListCollector
+from repro.serving import follow
 from repro.serving.follow import FollowingStore
 from repro.storage import load_cfp_array
 from repro.streaming import (
@@ -381,6 +382,51 @@ class TestFollowingStore:
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(SnapshotError, match="no loadable snapshot"):
             FollowingStore(tmp_path / "nothing")
+
+    def test_start_survives_the_writer_retiring_the_acquired_generation(
+        self, tmp_path, monkeypatch
+    ):
+        # The writer process cannot see this process's pin, so it may
+        # publish g2 and retire g1 between acquire() and the open.
+        first = random_database(25, n_transactions=50)
+        second = random_database(26, n_transactions=50)
+        table = _table([first, second], min_support=3)
+        self._publish_window(SnapshotManager(tmp_path), table, first)
+        writer = SnapshotManager(tmp_path)
+        real_open = follow.ServingStore
+        opened = []
+
+        def racing_open(path, **options):
+            if not opened:
+                self._publish_window(writer, table, second)
+                assert not os.path.exists(path)  # g1 retired under us
+            opened.append(path)
+            return real_open(path, **options)
+
+        monkeypatch.setattr(follow, "ServingStore", racing_open)
+        probe = (table.item_of[1],)
+        with FollowingStore(tmp_path, pool_pages=32) as store:
+            assert store.generation == 2
+            assert len(opened) == 2
+            assert store.errors  # the failed open of g1 is on record
+            assert store.support(probe) == sum(1 for t in second if probe[0] in t)
+
+    def test_start_does_not_retry_a_generation_that_stays_current(
+        self, tmp_path, monkeypatch
+    ):
+        database = random_database(27, n_transactions=50)
+        table = _table([database], min_support=3)
+        self._publish_window(SnapshotManager(tmp_path), table, database)
+        opened = []
+
+        def broken_open(path, **options):
+            opened.append(path)
+            raise OSError("unreadable")
+
+        monkeypatch.setattr(follow, "ServingStore", broken_open)
+        with pytest.raises(SnapshotError, match="unreadable"):
+            FollowingStore(tmp_path, pool_pages=32)
+        assert len(opened) == 1
 
     def test_torn_manifest_rides_out_on_the_current_generation(self, tmp_path):
         database = random_database(22, n_transactions=50)
