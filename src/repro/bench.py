@@ -276,16 +276,18 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
     """Mine one dataset in-core and partitioned-out-of-core; compare.
 
     The budget is ``array_bytes / OUTOFCORE_RATIO`` (floored at three
-    pages) and splits the way :func:`repro.budget.mine_with_budget` does:
-    a quarter pins the hot set, the rest backs the pool, partitions sized
-    to half the pool. The leg is a correctness gate as much as a perf
-    probe: the partitioned itemsets must be identical to the in-core
-    mine's, the prefetcher must actually hit (``prefetch_hits > 0``) or
-    the read-ahead machinery has silently stopped earning its thread, and
-    ``bytes_read`` must stay under ``(partitions + 1) * file_bytes``.
+    pages) and splits by :func:`repro.budget.snapshot_plan`, as
+    :func:`repro.budget.mine_with_budget` does: a quarter pins the hot
+    set, the rest backs the pool, partitions sized to half the pool. The
+    leg is a correctness gate as much as a perf probe: the partitioned
+    itemsets must be identical to the in-core mine's, the prefetcher
+    must actually hit (``prefetch_hits > 0``) or the read-ahead machinery
+    has silently stopped earning its thread, and ``bytes_read`` must stay
+    under ``(partitions + 1) * file_bytes``.
     """
     import tempfile
 
+    from repro.budget import MIN_POOL_PAGES, snapshot_plan
     from repro.fptree.growth import ListCollector
     from repro.storage import (
         PAGE_SIZE,
@@ -308,15 +310,15 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
     incore_wall = time.perf_counter() - started
 
     budget = max(3 * PAGE_SIZE, array_bytes // OUTOFCORE_RATIO)
-    hot_bytes = budget // 4
-    pool_budget = budget - hot_bytes
-    pool_pages = max(2, pool_budget // PAGE_SIZE)
-    partition_bytes = max(PAGE_SIZE, pool_budget // 2)
+    partition_bytes, hot_bytes = snapshot_plan(budget, array_bytes)
+    pool_pages = max(MIN_POOL_PAGES, (budget - hot_bytes) // PAGE_SIZE)
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-ooc-") as tmp:
         path = f"{tmp}/ooc.cfpa"
+        # The plan keeps an array that fits in the three-page floor
+        # whole; one-page partitions still exercise the partitioned path.
         file_bytes = save_cfp_array_partitioned(
-            array, path, partition_bytes=partition_bytes
+            array, path, partition_bytes=partition_bytes or PAGE_SIZE
         )
         with PartitionedCfpArray(
             path, pool_pages=pool_pages, hot_bytes=hot_bytes

@@ -20,7 +20,6 @@ from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import ExperimentError
 from repro.fptree.growth import ListCollector
-from repro.storage import DiskCfpArray, save_cfp_array
 from repro.storage.cfp_store import save_cfp_array_partitioned
 from repro.storage.pagefile import PAGE_SIZE
 from repro.storage.partitioned import PartitionedCfpArray
@@ -72,15 +71,18 @@ def admission_limit(
 def snapshot_plan(
     memory_budget: int | None, array_bytes: int
 ) -> tuple[int | None, int]:
-    """Partitioning for a published snapshot under a serving budget.
+    """How to store an array of ``array_bytes`` under a memory budget.
 
-    Returns ``(partition_bytes, hot_bytes)`` for
-    :meth:`repro.streaming.snapshots.SnapshotManager.publish` and the
-    store that will open the result. ``memory_budget=None`` (or a budget
-    the whole array fits in) keeps the monolithic v2 format —
-    ``(None, 0)``; otherwise the same quarter-hot/rest-pool split as
-    :func:`mine_with_budget` applies, with partitions sized to half the
-    pool so the active partition and its read-ahead co-reside.
+    The one budget planner: :func:`mine_with_budget` spills by it, and so
+    does the bench's out-of-core leg, while
+    :meth:`repro.streaming.snapshots.SnapshotManager.publish` partitions
+    a snapshot by it for the store that will open the result. Returns
+    ``(partition_bytes, hot_bytes)``. ``memory_budget=None`` (or a budget
+    the whole array fits in) keeps the array whole — ``(None, 0)``.
+    Otherwise a quarter of the budget pins the hot set (the most frequent
+    ranks, which every partition's projection reaches) and the rest backs
+    the buffer pool, with partitions sized to half of it so the active
+    partition and its read-ahead co-reside.
     """
     if memory_budget is None or array_bytes <= memory_budget:
         return None, 0
@@ -116,8 +118,6 @@ def mine_with_budget(
     min_support: int,
     memory_budget: int,
     spill_dir: str | os.PathLike | None = None,
-    *,
-    partitioned: bool = True,
 ) -> tuple[list[tuple[tuple[Hashable, ...], int]], BudgetReport]:
     """Mine within ``memory_budget`` bytes for the *initial* structures.
 
@@ -132,14 +132,12 @@ def mine_with_budget(
     16 times without (docs/performance.md §6). Returns the itemsets and a
     report of the decision.
 
-    Out-of-core spills default to the partitioned tiered store (format
-    v3): the budget splits into a pinned hot set of the most frequent
-    ranks (a quarter), with the rest backing the buffer pool; partitions
-    are sized to half the pool so the active partition and its read-ahead
-    co-reside, and the mine proceeds partition-at-a-time with background
-    sequential prefetch. ``partitioned=False`` keeps the legacy
-    monolithic spill (:class:`DiskCfpArray`, random pool reads) — the
-    §4.3 access-pattern baseline the experiments still measure.
+    An array larger than the budget spills to the partitioned tiered
+    store (format v3) that :func:`snapshot_plan` lays out: partitions of
+    half the pool and a pinned hot set of a quarter of the budget, with
+    the rest (at least :data:`MIN_POOL_PAGES`) backing the buffer pool.
+    The mine then proceeds partition-at-a-time with background
+    sequential prefetch.
     """
     if memory_budget < MIN_POOL_PAGES * PAGE_SIZE:
         raise ExperimentError(
@@ -153,7 +151,8 @@ def mine_with_budget(
     array_bytes = array.memory_bytes
     del tree
     collector = ListCollector()
-    if array_bytes <= memory_budget:
+    partition_bytes, hot_bytes = snapshot_plan(memory_budget, array_bytes)
+    if partition_bytes is None:
         mine_array(array, min_support, collector)
         report = BudgetReport(
             budget_bytes=memory_budget,
@@ -161,15 +160,8 @@ def mine_with_budget(
             array_bytes=array_bytes,
             went_out_of_core=False,
         )
-    elif partitioned:
-        # Tiered split: a quarter of the budget pins the hot set (the
-        # most frequent ranks, which every partition's projection
-        # reaches), the rest backs the buffer pool. Partitions at half the
-        # pool let the active partition and its read-ahead co-reside.
-        hot_bytes = memory_budget // 4
-        pool_budget = memory_budget - hot_bytes
-        pool_pages = max(MIN_POOL_PAGES, pool_budget // PAGE_SIZE)
-        partition_bytes = max(PAGE_SIZE, pool_budget // 2)
+    else:
+        pool_pages = max(MIN_POOL_PAGES, (memory_budget - hot_bytes) // PAGE_SIZE)
         handle, path = tempfile.mkstemp(
             suffix=".cfpa", dir=os.fspath(spill_dir) if spill_dir else None
         )
@@ -198,28 +190,6 @@ def mine_with_budget(
                 )
         finally:
             os.unlink(path)
-    else:
-        pool_pages = max(MIN_POOL_PAGES, memory_budget // PAGE_SIZE)
-        handle, path = tempfile.mkstemp(
-            suffix=".cfpa", dir=os.fspath(spill_dir) if spill_dir else None
-        )
-        os.close(handle)
-        try:
-            save_cfp_array(array, path)
-            del array
-            with DiskCfpArray(path, pool_pages=pool_pages) as disk:
-                mine_array(disk, min_support, collector)
-                faults = disk.pool.stats.faults
-        finally:
-            os.unlink(path)
-        report = BudgetReport(
-            budget_bytes=memory_budget,
-            tree_bytes=tree_bytes,
-            array_bytes=array_bytes,
-            went_out_of_core=True,
-            pool_pages=pool_pages,
-            page_faults=faults,
-        )
     itemsets = [
         (table.ranks_to_items(ranks), support)
         for ranks, support in collector.itemsets

@@ -704,8 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="BYTES",
-        help="pin the most frequent ranks' subarrays in memory "
-        "(partitioned stores only; default 0)",
+        help="pin the most frequent ranks' subarrays in memory (default 0)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7171)

@@ -54,6 +54,19 @@ ArrayBuffer = Union[bytearray, bytes, memoryview]
 _LOCAL_BITS = POINTER_SIZE * 8
 
 
+def _not_lower_rank(rank: int, local: int, parent_rank: int) -> TreeError:
+    """The error for a parent link that does not climb to a lower rank.
+
+    Every walk checks ``0 < parent_rank < rank`` at each ancestor step: a
+    ``delta_item`` of 0 would otherwise point a node at its own rank and
+    the walk would never return.
+    """
+    return TreeError(
+        f"node at rank {rank} local {local} points to rank {parent_rank}, "
+        f"not a lower rank"
+    )
+
+
 class DecodedSubarray:
     """One subarray bulk-decoded into parallel integer columns.
 
@@ -510,6 +523,8 @@ class CfpArray:
                 base: tuple[int, ...] = ()
                 memo[key] = base
                 break
+            if not 0 < parent_rank < rank:
+                raise _not_lower_rank(rank, local, parent_rank)
             parent_local = local - dpos
             cached = lookup((parent_rank << _LOCAL_BITS) | parent_local)
             if cached is not None:
@@ -605,10 +620,7 @@ class CfpArray:
                     continue
                 parent_local = locals_col[index] - dposes[index]
                 if not 0 < parent_rank < rank:
-                    raise TreeError(
-                        f"node at rank {rank} local {locals_col[index]} points "
-                        f"to rank {parent_rank}, not a lower rank"
-                    )
+                    raise _not_lower_rank(rank, locals_col[index], parent_rank)
                 above = pending.get(parent_rank)
                 if above is None:
                     above = pending[parent_rank] = {}
@@ -650,6 +662,8 @@ class CfpArray:
             parent_rank = rank - delta_item
             if parent_rank == 0:
                 break
+            if not 0 < parent_rank < rank:
+                raise _not_lower_rank(rank, local, parent_rank)
             local = local - varint.unzigzag(dpos_raw)
             rank = parent_rank
             path.append(rank)
@@ -706,7 +720,7 @@ class CfpArray:
         The paper notes the item field *could* be dropped because the index
         answers this; provided for completeness and used in tests.
         """
-        if not 0 <= offset < len(self.buffer):
+        if not 0 <= offset < self.starts[-1]:
             raise TreeError(f"offset {offset} outside the CFP-array buffer")
         low, high = 1, self.n_ranks
         while low < high:

@@ -8,10 +8,10 @@ the item table (items with supports, in rank order), the build's
 ``min_support``, and the transaction count (needed for rule lift).
 :class:`ServingStore` opens the pair read-only behind one shared
 :class:`repro.storage.BufferPool` — a
-:class:`repro.storage.PooledCfpArray` for monolithic (v2) stores, a
-:class:`repro.storage.PartitionedCfpArray` for partitioned (v3) ones —
-and exposes the three query families the server serves: itemset support,
-top-k, and "also bought" rule recommendations.
+:class:`repro.storage.PartitionedCfpArray`, which reads monolithic (v2)
+and partitioned (v3) stores alike — and exposes the three query
+families the server serves: itemset support, top-k, and "also bought"
+rule recommendations.
 
 The sidecar stores the table's :meth:`repro.util.items.ItemTable.fingerprint`
 and the load path re-verifies it, so an item vocabulary that did not
@@ -35,12 +35,9 @@ from repro.mining.topk import mine_top_k
 from repro.rules import Rule, also_bought, generate_rules
 from repro.storage import (
     PartitionedCfpArray,
-    PooledCfpArray,
     save_cfp_array,
     save_cfp_array_partitioned,
 )
-from repro.storage.cfp_store import PARTITIONED_FORMAT_VERSION, read_array_header
-from repro.storage.pagefile import PageFile
 from repro.util.items import ItemTable, TransactionDatabase, prepare_transactions
 from repro.util.queries import itemset_support
 
@@ -160,21 +157,13 @@ class ServingStore:
                 "(fingerprint mismatch); the store must be rebuilt"
             )
         self.n_transactions = meta["n_transactions"]
-        with PageFile.open_readonly(array_path) as peek:
-            version = read_array_header(peek).version
-        self.array: PooledCfpArray | PartitionedCfpArray
-        if version >= PARTITIONED_FORMAT_VERSION:
-            self.array = PartitionedCfpArray(
-                array_path,
-                pool_pages,
-                cache_budget,
-                hot_bytes=hot_bytes,
-                verify=verify,
-            )
-        else:
-            self.array = PooledCfpArray(
-                array_path, pool_pages, cache_budget, verify=verify
-            )
+        self.array = PartitionedCfpArray(
+            array_path,
+            pool_pages,
+            cache_budget,
+            hot_bytes=hot_bytes,
+            verify=verify,
+        )
         self._rules_lock = threading.Lock()
         self._rules_cache: dict[tuple[float, int | None], list[Rule]] = {}
 

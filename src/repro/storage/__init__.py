@@ -11,15 +11,15 @@ real disk path instead of a cost model:
   (:class:`repro.storage.Prefetcher` runs it on a background thread),
 * :mod:`repro.storage.cfp_store` — on-disk formats for the CFP-array
   (monolithic v2 and partitioned v3 with a rank-range manifest) and
-  checkpointing for the CFP-tree arena, plus
-  :class:`repro.storage.DiskCfpArray`, a drop-in CFP-array reader that
-  fetches bytes through the buffer pool — so the full CFP-growth mine
-  phase runs out-of-core and every page fault is observable — and
-  :class:`repro.storage.PooledCfpArray`, the serving-layer reader that
-  keeps the columnar query path over the same pool (docs/serving.md),
-* :class:`repro.storage.PartitionedCfpArray` — the v3 reader that mines
+  checkpointing for the CFP-tree arena,
+* :class:`repro.storage.PartitionedCfpArray` — the one paged CFP-array
+  reader. It opens every format (a v1/v2 file is one partition) and
+  fetches bytes through the buffer pool, so the mine phase and the query
+  server run out-of-core with every page fault observable; it mines
   partition-at-a-time with a pinned hot set and sequential prefetch
-  (docs/performance.md §partitioned),
+  (docs/performance.md §partitioned). :class:`repro.storage.DiskCfpArray`
+  is the same reader with per-node walks, the access pattern §4.3
+  measures,
 * :mod:`repro.storage.placement` — pluggable write-placement policies
   for partition payloads (append; wear-aware round-robin),
 * :mod:`repro.storage.compaction` — background repacking of fragmented
@@ -34,9 +34,7 @@ turns the partition scan back into sequential I/O.
 
 from repro.storage.bufferpool import BufferPool, BufferPoolStats, Prefetcher
 from repro.storage.cfp_store import (
-    DiskCfpArray,
     PartitionInfo,
-    PooledCfpArray,
     load_cfp_array,
     load_cfp_tree,
     load_cfp_tree_checkpoint,
@@ -47,7 +45,7 @@ from repro.storage.cfp_store import (
 )
 from repro.storage.compaction import BackgroundCompactor, CompactionReport, compact_store
 from repro.storage.pagefile import PAGE_SIZE, PageFile
-from repro.storage.partitioned import PartitionedCfpArray
+from repro.storage.partitioned import DiskCfpArray, PartitionedCfpArray
 from repro.storage.placement import (
     AppendPlacement,
     PlacementPolicy,
@@ -67,7 +65,6 @@ __all__ = [
     "plan_partitions",
     "PartitionInfo",
     "DiskCfpArray",
-    "PooledCfpArray",
     "PartitionedCfpArray",
     "PlacementPolicy",
     "AppendPlacement",

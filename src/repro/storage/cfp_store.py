@@ -2,12 +2,10 @@
 
 **CFP-array file** (magic ``CFPA``): a header blob — version, ``n_ranks``,
 buffer length, the item index (``starts``) — followed by the raw varint
-buffer, page-aligned. :class:`DiskCfpArray` reads the buffer through a
-:class:`repro.storage.BufferPool` and implements the same traversal
-interface as the in-memory :class:`repro.core.CfpArray`, so
-:func:`repro.core.cfp_growth.mine_array` runs unchanged against disk —
-with every page fault observable in the pool statistics. Only the item
-index stays in memory, as the paper's "small item index" does.
+buffer, page-aligned. :func:`load_cfp_array` reads it into memory;
+:class:`repro.storage.partitioned.PartitionedCfpArray` reads any version
+through a :class:`repro.storage.BufferPool` instead, keeping only the
+item index in memory, as the paper's "small item index" does.
 
 **CFP-tree checkpoint** (magic ``CFPT``): the arena's used prefix plus the
 allocator state (next-free pointer, free-queue heads) and the tree's
@@ -30,7 +28,8 @@ offset 8 carries the partition count — so every v2 reader field parses
 unchanged, and v1/v2 files still load. Partition payloads may be placed
 in any file order (see :mod:`repro.storage.placement`); the manifest is
 always in rank order. :class:`repro.storage.partitioned.PartitionedCfpArray`
-mines these stores partition-at-a-time; see docs/formats.md §4.5.
+mines every store partition-at-a-time, a v1/v2 file as one partition;
+see docs/formats.md §4.5.
 """
 
 from __future__ import annotations
@@ -42,13 +41,11 @@ import zlib
 from typing import TYPE_CHECKING, Any, BinaryIO, Iterator, NamedTuple
 
 from repro import faultinject
-from repro.compress import varint
-from repro.core.cfp_array import CfpArray, DecodedSubarray, _SubarrayCache
+from repro.core.cfp_array import CfpArray
 from repro.core.ternary import TernaryCfpTree
-from repro.errors import ReproError, TreeError
+from repro.errors import ReproError
 from repro.memman.arena import Arena
 from repro.obs import maybe_span
-from repro.storage.bufferpool import BufferPool
 from repro.storage.pagefile import PAGE_SIZE, PageFile, fsync_dir
 
 if TYPE_CHECKING:
@@ -185,7 +182,8 @@ class PartitionInfo(NamedTuple):
 
     ``index`` is the rank-order position in the manifest; ``data_page``
     is the partition's first payload page in the *file*, which placement
-    policies may order differently.
+    policies may order differently. ``crc`` is ``None`` for the single
+    partition a reader makes of a v1/v2 file, which has no manifest.
     """
 
     index: int
@@ -193,7 +191,7 @@ class PartitionInfo(NamedTuple):
     last_rank: int
     byte_len: int
     data_page: int
-    crc: int
+    crc: int | None
 
     @property
     def pages(self) -> int:
@@ -460,270 +458,6 @@ def load_cfp_array(path: str | os.PathLike[str]) -> CfpArray:
     return CfpArray(header.n_ranks, bytearray(blob[: header.buffer_len]), header.starts)
 
 
-class DiskCfpArray:
-    """CFP-array traversals served from disk through a buffer pool.
-
-    Implements the interface :func:`repro.core.cfp_growth.mine_array`
-    needs, so CFP-growth's mine phase runs out-of-core unchanged. Pass
-    ``verify=True`` to check every content page's CRC32 up front (reads
-    the whole file once); by default only the header is parsed so opening
-    stays O(1) in the array size.
-    """
-
-    #: Longest possible encoded triple (three 10-byte varints).
-    _MAX_TRIPLE = 30
-
-    def __init__(
-        self,
-        path: str | os.PathLike[str],
-        pool_pages: int = 64,
-        *,
-        verify: bool = False,
-    ) -> None:
-        self._pagefile = PageFile.open_readonly(path)
-        header = read_array_header(self._pagefile)
-        if verify:
-            _verify_content(self._pagefile, header.content_pages, header.version)
-        self.n_ranks = header.n_ranks
-        self.starts = header.starts
-        self._buffer_len = header.buffer_len
-        self._data_offset = header.data_page * PAGE_SIZE
-        self.pool = BufferPool(self._pagefile, pool_pages)
-
-    def close(self) -> None:
-        self.pool.publish_metrics()
-        self._pagefile.close()
-
-    def __enter__(self) -> "DiskCfpArray":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Traversal interface (mirrors repro.core.CfpArray)
-    # ------------------------------------------------------------------
-
-    def _read_at(self, offset: int, size: int) -> bytes:
-        size = min(size, self._buffer_len - offset)
-        return self.pool.read(self._data_offset + offset, size)
-
-    def _decode_triple(self, offset: int) -> tuple[int, int, int, int]:
-        chunk = self._read_at(offset, self._MAX_TRIPLE)
-        delta_item, pos = varint.decode_from(chunk, 0)
-        dpos_raw, pos = varint.decode_from(chunk, pos)
-        count, pos = varint.decode_from(chunk, pos)
-        return delta_item, varint.unzigzag(dpos_raw), count, offset + pos
-
-    def iter_subarray(self, rank: int) -> Iterator[tuple[int, int, int, int]]:
-        start = self.starts[rank]
-        end = self.starts[rank + 1]
-        offset = start
-        while offset < end:
-            delta_item, dpos, count, next_offset = self._decode_triple(offset)
-            yield offset - start, delta_item, dpos, count
-            offset = next_offset
-
-    def path_ranks(self, rank: int, local: int) -> list[int]:
-        path = []
-        while True:
-            offset = self.starts[rank] + local
-            chunk = self._read_at(offset, self._MAX_TRIPLE)
-            delta_item, pos = varint.decode_from(chunk, 0)
-            dpos_raw, __ = varint.decode_from(chunk, pos)
-            parent_rank = rank - delta_item
-            if parent_rank == 0:
-                break
-            local = local - varint.unzigzag(dpos_raw)
-            rank = parent_rank
-            path.append(rank)
-        path.reverse()
-        return path
-
-    def prefix_paths(self, rank: int) -> list[tuple[list[int], int]]:
-        """Prefix paths of every node in ``rank``'s subarray, in storage order.
-
-        Mirrors :meth:`repro.core.CfpArray.prefix_paths` but resolves each
-        ancestor through the buffer pool — the per-node backward walk *is*
-        the out-of-core access pattern §4.3 measures, so no bulk-decode
-        shortcut is taken here.
-        """
-        return [
-            (self.path_ranks(rank, local), count)
-            for local, __, __, count in self.iter_subarray(rank)
-        ]
-
-    def rank_support(self, rank: int) -> int:
-        return sum(count for __, __, __, count in self.iter_subarray(rank))
-
-    @property
-    def cache_budget(self) -> int:
-        """Decoded-subarray cache budget for conditional arrays (disabled:
-        out-of-core runs measure the buffer pool, not an in-memory cache)."""
-        return 0
-
-    def active_ranks_descending(self) -> Iterator[int]:
-        for rank in range(self.n_ranks, 0, -1):
-            if self.starts[rank + 1] > self.starts[rank]:
-                yield rank
-
-    def subarray_bytes(self, rank: int) -> int:
-        return self.starts[rank + 1] - self.starts[rank]
-
-    @property
-    def memory_bytes(self) -> int:
-        """Resident bytes: the buffer pool plus the in-memory item index."""
-        return self.pool.capacity_bytes + (self.n_ranks + 1) * 5
-
-
-class PooledCfpArray(CfpArray):
-    """A read-only CFP-array served columnar-ly through a buffer pool.
-
-    The serving-layer counterpart of :class:`DiskCfpArray`: the same
-    ``CFPA`` file behind the same :class:`BufferPool`, but a subarray is
-    fetched as **one** pool read and bulk-decoded into columns (LRU-cached
-    under the usual byte budget), so the memoized ``prefix_paths`` resolve,
-    the columnar kernels, and every other :class:`CfpArray` traversal run
-    unchanged — in-memory asymptotics with pool-bounded residency.
-    ``DiskCfpArray`` keeps its deliberate per-node walks because they *are*
-    the out-of-core access pattern §4.3 measures; a query server wants the
-    opposite trade.
-
-    Only the item index and the decoded-subarray cache live in memory; the
-    varint buffer itself is never materialized (``self.buffer`` stays
-    empty, and every buffer-touching method is overridden to read through
-    the pool).
-    """
-
-    def __init__(
-        self,
-        path: str | os.PathLike[str],
-        pool_pages: int = 64,
-        cache_budget: int = 0,
-        *,
-        verify: bool = False,
-    ) -> None:
-        self._pagefile = PageFile.open_readonly(path)
-        try:
-            header = read_array_header(self._pagefile)
-            if verify:
-                _verify_content(self._pagefile, header.content_pages, header.version)
-        except Exception:  # lint: ignore[INV004] - close-and-reraise: no pagefile may leak whatever the header read throws
-            self._pagefile.close()
-            raise
-        # Deliberately no super().__init__: it demands the materialized
-        # buffer this class exists to avoid. Every CfpArray field is set
-        # here instead.
-        self.n_ranks = header.n_ranks
-        self.buffer = b""
-        self.starts = header.starts
-        self._node_count = None
-        self._cache = _SubarrayCache(cache_budget) if cache_budget > 0 else None
-        self._path_memo = None
-        self._active_ranks = None
-        self._buffer_len = header.buffer_len
-        self._data_offset = header.data_page * PAGE_SIZE
-        self.pool = BufferPool(self._pagefile, pool_pages)
-
-    def close(self) -> None:
-        self.pool.publish_metrics()
-        self._pagefile.close()
-
-    def __enter__(self) -> "PooledCfpArray":
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.close()
-
-    def _read_at(self, offset: int, size: int) -> bytes:
-        size = min(size, self._buffer_len - offset)
-        return self.pool.read(self._data_offset + offset, size)
-
-    def subarray_columns(self, rank: int) -> DecodedSubarray:
-        cache = self._cache
-        if cache is not None:
-            cached = cache.get(rank)
-            if cached is not None:
-                return cached
-        self._check_rank(rank)
-        start = self.starts[rank]
-        length = self.starts[rank + 1] - start
-        chunk = self._read_at(start, length)
-        entry = DecodedSubarray(*varint.decode_triples_columns(chunk, 0, length))
-        if cache is not None:
-            cache.put(rank, entry, entry.decoded_bytes)
-        return entry
-
-    @property
-    def node_count(self) -> int:
-        """Lazy count via per-subarray terminator scans through the pool."""
-        if self._node_count is None:
-            total = 0
-            for rank in range(1, self.n_ranks + 1):
-                start = self.starts[rank]
-                length = self.starts[rank + 1] - start
-                if length:
-                    chunk = self._read_at(start, length)
-                    total += varint.count_triples(chunk, 0, length)
-            self._node_count = total
-        return self._node_count
-
-    def node_at(self, rank: int, local: int) -> tuple[int, int, int]:
-        self._check_rank(rank)
-        offset = self.starts[rank] + local
-        if not self.starts[rank] <= offset < self.starts[rank + 1]:
-            raise TreeError(
-                f"local offset {local} outside subarray of rank {rank}"
-            )
-        chunk = self._read_at(offset, DiskCfpArray._MAX_TRIPLE)
-        delta_item, pos = varint.decode_from(chunk, 0)
-        dpos_raw, pos = varint.decode_from(chunk, pos)
-        count, __ = varint.decode_from(chunk, pos)
-        return delta_item, varint.unzigzag(dpos_raw), count
-
-    def path_ranks(self, rank: int, local: int) -> list[int]:
-        path = []
-        while True:
-            delta_item, dpos, __ = self.node_at(rank, local)
-            parent_rank = rank - delta_item
-            if parent_rank == 0:
-                break
-            local = local - dpos
-            rank = parent_rank
-            path.append(rank)
-        path.reverse()
-        return path
-
-    def item_of_position(self, offset: int) -> int:
-        if not 0 <= offset < self._buffer_len:
-            raise TreeError(f"offset {offset} outside the CFP-array buffer")
-        low, high = 1, self.n_ranks
-        while low < high:
-            mid = (low + high + 1) // 2
-            if self.starts[mid] <= offset:
-                low = mid
-            else:
-                high = mid - 1
-        while self.starts[low + 1] == self.starts[low]:
-            low -= 1
-        return low
-
-    @property
-    def memory_bytes(self) -> int:
-        """Resident bytes: pool frames, item index, and the cache budget."""
-        return (
-            self.pool.capacity_bytes
-            + (self.n_ranks + 1) * 5
-            + self.cache_budget
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PooledCfpArray(n_ranks={self.n_ranks}, "
-            f"pool_pages={self.pool.capacity_pages})"
-        )
-
-
 # ----------------------------------------------------------------------
 # CFP-tree checkpointing
 # ----------------------------------------------------------------------
@@ -881,8 +615,6 @@ __all__ = [
     "read_partition_bytes",
     "read_tree_header",
     "restore_tree",
-    "DiskCfpArray",
-    "PooledCfpArray",
     "save_cfp_tree",
     "load_cfp_tree",
     "load_cfp_tree_checkpoint",

@@ -1,7 +1,8 @@
-"""Partition-at-a-time out-of-core CFP-array reader (store format v3).
+"""The paged CFP-array reader: every store format, a partition at a time.
 
 :class:`PartitionedCfpArray` serves the full :class:`repro.core.CfpArray`
-traversal interface from a partitioned store while keeping resident only:
+traversal interface from a store file of any version while keeping
+resident only:
 
 * the item index (``starts``) — the paper's "small item index",
 * a **pinned hot set**: the most frequent ranks' encoded subarrays, read
@@ -12,25 +13,40 @@ traversal interface from a partitioned store while keeping resident only:
 * a :class:`~repro.storage.bufferpool.BufferPool` over the page file, and
 * the optional decoded-subarray LRU cache shared with every other reader.
 
-The mine loop (:func:`repro.core.cfp_growth.mine_array_partitioned`)
+The partition is the unit of disk access. A v3 file lists its
+partitions in a manifest; a v1/v2 file is one partition covering every
+rank, starting at the header's data page. The mine loop
+(:func:`repro.core.cfp_growth.mine_array_partitioned`)
 visits partitions in descending rank order. For each one it calls
 :meth:`begin_partition`, then projects the partition once
 (:meth:`CfpArray.project`): a single sweep down the ranks that reads
 each page of the partition and of the lower partitions at most once.
 :meth:`begin_partition` hands the next partition(s) in schedule order to
 a background :class:`~repro.storage.bufferpool.Prefetcher`, so their
-pages stream in while the sweep works on this one. ``REPRO_PREFETCH=0``
-disables the thread; ``REPRO_PREFETCH_DEPTH`` sets how many partitions
-ahead to request (default 1). Prefetch is pure opportunism — answers are
-identical with it off, dead, or fault-injected (``pagefile.prefetch``).
+pages stream in while the sweep works on this one. A one-partition store
+starts no such thread: nothing is ever ahead of its only partition.
+``REPRO_PREFETCH=0`` disables the thread; ``REPRO_PREFETCH_DEPTH`` sets
+how many partitions ahead to request (default 1). Prefetch is pure
+opportunism — answers are identical with it off, dead, or fault-injected
+(``pagefile.prefetch``).
+
+:class:`DiskCfpArray` is the same reader with per-node walks: the
+access pattern the §4.3 experiment measures.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Iterator
 
 from repro.compress import varint
-from repro.core.cfp_array import CfpArray, DecodedSubarray, _SubarrayCache
+from repro.core.cfp_array import (
+    CfpArray,
+    DecodedSubarray,
+    Triple,
+    _not_lower_rank,
+    _SubarrayCache,
+)
 from repro.errors import TreeError
 from repro.storage.bufferpool import (
     BufferPool,
@@ -39,9 +55,7 @@ from repro.storage.bufferpool import (
     prefetch_enabled,
 )
 from repro.storage.cfp_store import (
-    PARTITIONED_FORMAT_VERSION,
     PartitionInfo,
-    StorageFormatError,
     _verify_content,
     read_array_header,
 )
@@ -49,15 +63,15 @@ from repro.storage.pagefile import PAGE_SIZE, PageFile
 
 
 class PartitionedCfpArray(CfpArray):
-    """A v3 partitioned CFP-array mined partition-at-a-time through a pool.
+    """A stored CFP-array read partition-at-a-time through a buffer pool.
 
-    Subclasses :class:`CfpArray` the way
-    :class:`~repro.storage.cfp_store.PooledCfpArray` does: the buffer is
-    never materialized (``self.buffer`` stays empty) and every
-    buffer-touching method is overridden to resolve through the hot set
-    or the buffer pool. All recursive traversals (``project``,
-    ``prefix_paths``, ``single_path``, ``rank_support``) funnel through
-    :meth:`subarray_columns`, so they run unchanged.
+    Opens format v1, v2 and v3 files. The buffer is never materialized
+    (``self.buffer`` stays empty) and every buffer-touching method is
+    overridden to resolve through the hot set or the buffer pool. All
+    recursive traversals (``project``, ``prefix_paths``, ``single_path``,
+    ``rank_support``) funnel through :meth:`subarray_columns`, so they
+    run unchanged. ``verify=True`` checks every content page against the
+    file's checksum trailer before the first read.
     """
 
     def __init__(
@@ -74,19 +88,13 @@ class PartitionedCfpArray(CfpArray):
         self._pagefile = PageFile.open_readonly(path)
         try:
             header = read_array_header(self._pagefile)
-            if header.version < PARTITIONED_FORMAT_VERSION:
-                raise StorageFormatError(
-                    f"not a partitioned CFP-array (format v{header.version}): "
-                    f"open with PooledCfpArray/DiskCfpArray, or re-save with "
-                    f"save_cfp_array_partitioned"
-                )
             if verify:
                 _verify_content(self._pagefile, header.content_pages, header.version)
         except Exception:  # lint: ignore[INV004] - close-and-reraise: no pagefile may leak whatever the header read throws
             self._pagefile.close()
             raise
-        # Deliberately no super().__init__ (same as PooledCfpArray): it
-        # demands the materialized buffer this class exists to avoid.
+        # Deliberately no super().__init__: it demands the materialized
+        # buffer this class exists to avoid.
         self.n_ranks = header.n_ranks
         self.buffer = b""
         self.starts = header.starts
@@ -94,8 +102,13 @@ class PartitionedCfpArray(CfpArray):
         self._cache = _SubarrayCache(cache_budget) if cache_budget > 0 else None
         self._path_memo = None
         self._active_ranks = None
-        self._buffer_len = header.buffer_len
-        self.partitions: tuple[PartitionInfo, ...] = header.partitions
+        # A v1/v2 file is one partition; its payload is covered by the
+        # page-checksum trailer alone, so it carries no manifest CRC.
+        self.partitions: tuple[PartitionInfo, ...] = header.partitions or (
+            PartitionInfo(
+                0, 1, self.n_ranks, header.buffer_len, header.data_page, None
+            ),
+        )
         self._rank_part = [0] * (self.n_ranks + 2)
         for part in self.partitions:
             for rank in range(part.first_rank, part.last_rank + 1):
@@ -125,7 +138,9 @@ class PartitionedCfpArray(CfpArray):
         )
         self._prefetch_depth = max(0, depth)
         self._prefetcher: Prefetcher | None = (
-            Prefetcher(self.pool) if prefetch and self._prefetch_depth > 0 else None
+            Prefetcher(self.pool)
+            if prefetch and self._prefetch_depth > 0 and len(self.partitions) > 1
+            else None
         )
 
     # ------------------------------------------------------------------
@@ -262,25 +277,13 @@ class PartitionedCfpArray(CfpArray):
             parent_rank = rank - delta_item
             if parent_rank == 0:
                 break
+            if not 0 < parent_rank < rank:
+                raise _not_lower_rank(rank, local, parent_rank)
             local = local - dpos
             rank = parent_rank
             path.append(rank)
         path.reverse()
         return path
-
-    def item_of_position(self, offset: int) -> int:
-        if not 0 <= offset < self._buffer_len:
-            raise TreeError(f"offset {offset} outside the CFP-array buffer")
-        low, high = 1, self.n_ranks
-        while low < high:
-            mid = (low + high + 1) // 2
-            if self.starts[mid] <= offset:
-                low = mid
-            else:
-                high = mid - 1
-        while self.starts[low + 1] == self.starts[low]:
-            low -= 1
-        return low
 
     # ------------------------------------------------------------------
     # Size accounting
@@ -315,4 +318,65 @@ class PartitionedCfpArray(CfpArray):
         )
 
 
-__all__ = ["PartitionedCfpArray"]
+class DiskCfpArray(PartitionedCfpArray):
+    """The paged reader with per-node walks: §4.3's access pattern.
+
+    :func:`repro.core.cfp_growth.mine_array` runs unchanged against it,
+    but every node a sideward scan or a backward walk visits is one pool
+    read of at most :attr:`_MAX_TRIPLE` bytes, cut off at the end of the
+    node's partition. That per-node pattern *is* what the out-of-core
+    experiment (``repro experiment outofcore``) measures, so no
+    bulk-decode shortcut is taken here.
+    """
+
+    #: Longest possible encoded triple (three 10-byte varints).
+    _MAX_TRIPLE = 30
+
+    def _node_bytes(self, rank: int, local: int) -> bytes:
+        """Up to one triple's bytes from the start of a node."""
+        part = self.partitions[self._rank_part[rank]]
+        offset = self.starts[rank] - self.starts[part.first_rank] + local
+        return self.pool.read(
+            part.data_page * PAGE_SIZE + offset,
+            min(self._MAX_TRIPLE, part.byte_len - offset),
+        )
+
+    def iter_subarray(self, rank: int) -> Iterator[Triple]:
+        end = self.starts[rank + 1] - self.starts[rank]
+        local = 0
+        while local < end:
+            chunk = self._node_bytes(rank, local)
+            delta_item, pos = varint.decode_from(chunk, 0)
+            dpos_raw, pos = varint.decode_from(chunk, pos)
+            count, pos = varint.decode_from(chunk, pos)
+            yield local, delta_item, varint.unzigzag(dpos_raw), count
+            local += pos
+
+    def path_ranks(self, rank: int, local: int) -> list[int]:
+        path = []
+        while True:
+            chunk = self._node_bytes(rank, local)
+            delta_item, pos = varint.decode_from(chunk, 0)
+            dpos_raw, __ = varint.decode_from(chunk, pos)
+            parent_rank = rank - delta_item
+            if parent_rank == 0:
+                break
+            if not 0 < parent_rank < rank:
+                raise _not_lower_rank(rank, local, parent_rank)
+            local = local - varint.unzigzag(dpos_raw)
+            rank = parent_rank
+            path.append(rank)
+        path.reverse()
+        return path
+
+    def prefix_paths(self, rank: int) -> list[tuple[tuple[int, ...], int]]:
+        return [
+            (tuple(self.path_ranks(rank, local)), count)
+            for local, __, __, count in self.iter_subarray(rank)
+        ]
+
+    def rank_support(self, rank: int) -> int:
+        return sum(count for __, __, __, count in self.iter_subarray(rank))
+
+
+__all__ = ["DiskCfpArray", "PartitionedCfpArray"]

@@ -31,6 +31,7 @@ from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import TreeError
 from repro.fptree.growth import ListCollector, mine_ranks
+from repro.storage import DiskCfpArray, PartitionedCfpArray, save_cfp_array
 from repro.util.items import prepare_transactions
 from tests.conftest import db_strategy, random_database
 
@@ -155,7 +156,7 @@ class TestConditionalStructIdentity:
             if cond is not None:
                 assert_identical_arrays(cond, want_cond)
 
-    def test_dpos_landing_mid_node_raises(self):
+    def test_dpos_landing_mid_node_raises(self, tmp_path):
         # Shift one node's dpos by one byte, keeping its encoded size, so
         # its parent link lands inside the parent's triple.
         array, __ = build_array(random_database(3), 2)
@@ -180,6 +181,27 @@ class TestConditionalStructIdentity:
             uncached.project([rank])
         with pytest.raises(TreeError, match="not a node start"):
             uncached.project(range(1, array.n_ranks + 1))
+
+        # A one-node array whose delta_item is 0: the node's parent link
+        # points back at its own rank, so a walk that does not check for
+        # a lower rank never returns.
+        looped = bytearray(varint.triple_size(0, 0, 1))
+        varint.encode_triples(looped, 0, [(0, 0, 1)])
+        cached = CfpArray(1, bytes(looped), [0, 0, len(looped)])
+        cached.set_cache_budget(1 << 16)
+        uncached = CfpArray(1, bytes(looped), [0, 0, len(looped)])
+        path = tmp_path / "looped.cfpa"
+        save_cfp_array(uncached, path)
+        with PartitionedCfpArray(path) as paged, DiskCfpArray(path) as per_node:
+            for walk in (
+                lambda: cached.prefix_paths(1),
+                lambda: uncached.path_ranks(1, 0),
+                lambda: uncached.project([1]),
+                lambda: paged.path_ranks(1, 0),
+                lambda: per_node.path_ranks(1, 0),
+            ):
+                with pytest.raises(TreeError, match="not a lower rank"):
+                    walk()
 
     def test_prefix_paths_match_path_ranks(self):
         # The memoized bulk walk agrees with the node-at-a-time backward

@@ -93,6 +93,28 @@ class TestDiskCfpArray:
             mine_array(disk, 3, on_disk)
         assert normalize(in_memory.itemsets) == normalize(on_disk.itemsets)
 
+    def test_traced_mining_matches_untraced(self, built, tmp_path):
+        # The traced mine loop reads the array's cache counters, which a
+        # per-node reader must provide like every other CFP-array.
+        from repro import obs
+        from repro.obs.tracer import Tracer
+
+        __, __, __, array = built
+        path = tmp_path / "a.cfpa"
+        save_cfp_array(array, path)
+        untraced = ListCollector()
+        with DiskCfpArray(path, pool_pages=2) as disk:
+            mine_array(disk, 3, untraced)
+        traced = ListCollector()
+        previous = obs.set_tracer(Tracer())
+        try:
+            with DiskCfpArray(path, pool_pages=2) as disk:
+                mine_array(disk, 3, traced)
+        finally:
+            obs.set_tracer(previous)
+            obs.metrics.reset()
+        assert traced.itemsets == untraced.itemsets
+
     def test_small_pool_faults_more(self, built, tmp_path):
         __, __, __, array = built
         path = tmp_path / "a.cfpa"

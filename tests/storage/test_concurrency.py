@@ -235,7 +235,7 @@ class TestSpilledArrayConcurrency:
         return reference, path
 
     def test_pooled_reads_with_eviction_mid_read(self, spilled, fast_preemption):
-        from repro.storage import PooledCfpArray
+        from repro.storage import PartitionedCfpArray
 
         reference, path = spilled
         expected = [None] + [
@@ -252,7 +252,7 @@ class TestSpilledArrayConcurrency:
             )
             // 4,
         )
-        with PooledCfpArray(
+        with PartitionedCfpArray(
             path, pool_pages=2, cache_budget=decoded_budget
         ) as array:
 

@@ -12,17 +12,30 @@ from repro.core.ternary import TernaryCfpTree
 from repro.fptree.growth import ListCollector
 from repro.storage import (
     PAGE_SIZE,
+    DiskCfpArray,
     PageFile,
     PartitionedCfpArray,
     RoundRobinPlacement,
     load_cfp_array,
     plan_partitions,
+    save_cfp_array,
     save_cfp_array_partitioned,
 )
 from repro.storage.cfp_store import StorageFormatError, read_array_header
 from repro.util.items import prepare_transactions
 
 MIN_SUPPORT = 3
+
+#: One way to store an array per file format a reader must open.
+SAVERS = {
+    "v2": save_cfp_array,
+    "v3": lambda array, path: save_cfp_array_partitioned(
+        array, path, partition_bytes=1024
+    ),
+    "v3-round-robin": lambda array, path: save_cfp_array_partitioned(
+        array, path, partition_bytes=1024, placement=RoundRobinPlacement(3)
+    ),
+}
 
 
 def _build_array(seed=7, n_transactions=700, n_items=50):
@@ -264,13 +277,37 @@ class TestPartitionedMining:
             assert hot == nonempty_prefix
             assert disk.memory_bytes >= disk.hot_bytes
 
-    def test_rejects_v2_store(self, array, tmp_path):
-        from repro.storage import save_cfp_array
-
-        path = tmp_path / "v2.cfpa"
-        save_cfp_array(array, path)
-        with pytest.raises(StorageFormatError, match="not a partitioned"):
-            PartitionedCfpArray(path)
+    @pytest.mark.parametrize("fmt", sorted(SAVERS))
+    @pytest.mark.parametrize(
+        "reader, mine",
+        [
+            pytest.param(PartitionedCfpArray, mine_array, id="paged-mine_array"),
+            pytest.param(
+                PartitionedCfpArray,
+                mine_array_partitioned,
+                id="paged-mine_array_partitioned",
+            ),
+            pytest.param(DiskCfpArray, mine_array, id="per-node-mine_array"),
+        ],
+    )
+    def test_every_reader_mines_every_format(
+        self, array, tmp_path, fmt, reader, mine
+    ):
+        # v3 partitions are page-padded and may be stored out of rank
+        # order, so no reader may treat the payload as one buffer; a
+        # v1/v2 file is read as a single partition, hot set included.
+        reference = ListCollector()
+        mine_array(array, MIN_SUPPORT, reference)
+        path = tmp_path / f"{fmt}.cfpa"
+        SAVERS[fmt](array, path)
+        with reader(path, pool_pages=4, hot_bytes=1 << 12) as disk:
+            assert disk.hot_ranks > 0
+            if fmt == "v2":
+                assert len(disk.partitions) == 1
+                assert disk._prefetcher is None
+            got = ListCollector()
+            mine(disk, MIN_SUPPORT, got)
+        assert got.itemsets == reference.itemsets
 
 
 class TestCompaction:

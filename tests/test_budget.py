@@ -69,27 +69,6 @@ class TestPartitionedSpill:
         assert report.bytes_read > 0
         assert normalize(itemsets) == expected
 
-    def test_legacy_path_still_available(self, workload, tmp_path):
-        db, expected = workload
-        itemsets, report = mine_with_budget(
-            db, 5, memory_budget=2 * PAGE_SIZE, spill_dir=tmp_path,
-            partitioned=False,
-        )
-        assert report.went_out_of_core
-        assert report.partitions == 0  # monolithic spill has no manifest
-        assert normalize(itemsets) == expected
-
-    def test_partitioned_and_legacy_agree(self, workload, tmp_path):
-        db, __ = workload
-        tiered, __ = mine_with_budget(
-            db, 5, memory_budget=2 * PAGE_SIZE, spill_dir=tmp_path
-        )
-        legacy, __ = mine_with_budget(
-            db, 5, memory_budget=2 * PAGE_SIZE, spill_dir=tmp_path,
-            partitioned=False,
-        )
-        assert normalize(tiered) == normalize(legacy)
-
 
 class TestValidation:
     def test_budget_floor(self):
