@@ -256,7 +256,7 @@ def collect_metric_names(index: ProgramIndex) -> list[_MetricName]:
 
 
 def collect_span_names(index: ProgramIndex) -> set[str]:
-    """Literal first arguments of ``span(...)`` / ``maybe_span(...)``."""
+    """Literal first arguments of the tracer's span-opening calls."""
     spans: set[str] = set()
     for info in index.repro_modules():
         for node in ast.walk(info.tree):
@@ -270,7 +270,7 @@ def collect_span_names(index: ProgramIndex) -> set[str]:
                 if isinstance(func, ast.Name)
                 else None
             )
-            if called not in ("span", "maybe_span"):
+            if called not in ("span", "maybe_span", "begin_span", "complete_span"):
                 continue
             first = node.args[0]
             if isinstance(first, ast.Constant) and isinstance(first.value, str):

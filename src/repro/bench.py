@@ -294,7 +294,6 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
         PartitionedCfpArray,
         save_cfp_array_partitioned,
     )
-    from repro.core.cfp_growth import mine_array_partitioned
 
     table, transactions = prepare_transactions(database, min_support)
     tree = TernaryCfpTree.from_rank_transactions(transactions, len(table))
@@ -325,7 +324,7 @@ def bench_outofcore(database: list[list[int]], min_support: int) -> dict:
         ) as disk:
             got = ListCollector()
             started = time.perf_counter()
-            mine_array_partitioned(disk, min_support, got)
+            mine_array(disk, min_support, got)
             wall = time.perf_counter() - started
             disk.prefetch_drain()
             stats = disk.pool.stats

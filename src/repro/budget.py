@@ -15,7 +15,7 @@ import tempfile
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.core.cfp_growth import mine_array, mine_array_partitioned
+from repro.core.cfp_growth import mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import ExperimentError
@@ -123,14 +123,18 @@ def mine_with_budget(
 
     Conditional structures during mining are not charged against the
     budget (they are transient and small relative to the initial array;
-    §3.5). Neither is a partition's projection on the out-of-core path
-    (:meth:`CfpArray.project`): 16 bytes for every node its sweep reaches
-    — the partition's nodes and all their ancestors, at most the whole
-    array — held while that partition is mined. Neither fits in the
-    budget: on quest-ooc at a tenth of the array, the mine phase's
-    ``tracemalloc`` peak is 27 times the budget with projection and was
-    16 times without (docs/performance.md §6). Returns the itemsets and a
-    report of the decision.
+    §3.5). Neither are projections (:meth:`CfpArray.project`): 16 bytes
+    for every node a sweep reaches, held while its rank group is mined.
+    On the out-of-core path a group is one partition, and its sweep
+    reaches the partition's nodes and all their ancestors, at most the
+    whole array. Neither fits in the budget: on quest-ooc at a tenth of
+    the array, the mine phase's ``tracemalloc`` peak is 27 times the
+    budget with projection and was 16 times without (docs/performance.md
+    §6). The in-core branch mines the uncached array from one projection
+    of the whole array: on mine-dense seed 1 (list collector) its mine
+    phase peaks at 5.1 MB, against 3.3 MB rank by rank and 16.2 MB for
+    the cached walk :func:`repro.core.cfp_growth.cfp_growth` uses.
+    Returns the itemsets and a report of the decision.
 
     An array larger than the budget spills to the partitioned tiered
     store (format v3) that :func:`snapshot_plan` lays out: partitions of
@@ -174,7 +178,7 @@ def mine_with_budget(
             with PartitionedCfpArray(
                 path, pool_pages=pool_pages, hot_bytes=hot_bytes
             ) as disk:
-                mine_array_partitioned(disk, min_support, collector)
+                mine_array(disk, min_support, collector)
                 stats = disk.pool.stats
                 report = BudgetReport(
                     budget_bytes=memory_budget,

@@ -690,6 +690,23 @@ class CfpArray:
             if self.starts[rank + 1] > self.starts[rank]
         )
 
+    def rank_groups(self) -> Iterator[list[int]]:
+        """The mine schedule: :meth:`active_ranks_descending` in groups.
+
+        An in-memory array is one group; a paged reader yields one per
+        partition.
+        """
+        yield list(self.active_ranks_descending())
+
+    def group_projection(self, ranks: list[int]) -> Projection | None:
+        """Prefix paths of a rank group, or None to mine it rank by rank.
+
+        Uncached, one :meth:`project` sweep decodes each subarray once.
+        Cached, :meth:`prefix_paths` already walks each node once through
+        the path memo, which a projection would only duplicate.
+        """
+        return None if self._cache is not None else self.project(ranks)
+
     def single_path(self) -> list[tuple[int, int]] | None:
         """The array's single path as ``(rank, count)`` pairs, or None.
 

@@ -5,11 +5,13 @@ The algorithm is FP-growth with both phases re-based on the CFP structures:
 1. **Build** — two database passes produce a ternary CFP-tree.
 2. **Convert** — the tree becomes a CFP-array; the tree is discarded
    immediately afterwards so its memory can serve the mine phase (§3.5).
-3. **Mine** — items are processed least frequent first. For each item, the
-   prefix paths are collected by backward traversal in the CFP-array, a
-   *conditional* CFP-tree is built from them, converted, and mined
-   recursively. Trees that degenerate to a single path are enumerated
-   directly without conversion.
+3. **Mine** — one loop, :func:`mine_array`, for every reader and every
+   recursion level. Items are processed least frequent first, in the
+   rank groups the array schedules (one per partition of a paged store).
+   For each item, the prefix paths are resolved by backward traversal in
+   the CFP-array, a *conditional* CFP-array is encoded from them, and it
+   is mined recursively. Conditionals that degenerate to a single path
+   are enumerated directly without an array.
 
 The miner is instrumented: a :class:`repro.machine.Meter` (optional)
 receives structure-size samples and operation counts that drive the
@@ -19,7 +21,8 @@ simulated-machine experiments.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Any, Hashable, Protocol
+from functools import partial
+from typing import Any, Callable, Hashable, Protocol
 
 from repro import obs
 from repro.algorithms.base import register
@@ -82,119 +85,84 @@ def mine_array(
 ) -> None:
     """Recursively mine a CFP-array (the §2.1 mine loop on §3.4 structures).
 
+    The one mine loop, for every reader and at every depth. The array
+    schedules its active ranks, least frequent first, in groups
+    (:meth:`CfpArray.rank_groups`: one in memory, one per partition of a
+    paged store) and each group is mined from one projection
+    (:meth:`CfpArray.group_projection`), or rank by rank where that is
+    None: cached arrays and :class:`repro.storage.DiskCfpArray`.
+
     With a tracer installed (:func:`repro.obs.set_tracer`) the *top-level*
-    loop (``suffix == ()``) emits one ``mine_rank`` span per rank, carrying
-    meter deltas — the same per-rank granularity the parallel miner ships
-    back from its workers, so serial and parallel traces have one shape.
+    loop (``suffix == ()``) runs each rank through :func:`mine_rank_span`:
+    one ``mine_rank`` span per rank, the granularity the parallel workers
+    ship back too, so serial and parallel traces have one shape.
     Recursive (conditional) calls are never traced per-span: tracing must
     not change the mine phase's asymptotics.
     """
-    tracer = obs.get_tracer()
-    if tracer is not None and not suffix:
-        _mine_array_traced(array, min_support, collector, meter, tracer)
-        return
-    if suffix and not array.cache_budget:
-        # An uncached conditional array is already in memory: one sweep
-        # over all its ranks decodes each subarray once, where one sweep
-        # per rank decodes the shared ancestors again for every rank.
-        ranks = list(array.active_ranks_descending())
-        _mine_projected(array, ranks, min_support, collector, suffix, meter)
-        return
-    for rank in array.active_ranks_descending():
-        mine_rank(array, rank, min_support, collector, suffix, meter)
+    tracer = None if suffix else obs.get_tracer()
+    mine: Callable[..., object] = mine_rank
+    if tracer is not None:
+        # Results never depend on the meter; a local one supplies span
+        # deltas when the caller did not pass its own.
+        if meter is None:
+            meter = Meter()
+        cache_before = array.cache_counts()
+        mine = partial(mine_rank_span, tracer)
+    for ranks in array.rank_groups():
+        projection = array.group_projection(ranks)
+        for rank in ranks:
+            # A rank's paths are built as it is mined and dropped with it.
+            mine(
+                array, rank, min_support, collector, suffix, meter,
+                None if projection is None else projection[rank],
+            )
+        # Release this group's projection before the next one is built.
+        del projection
+    if tracer is not None:
+        array.publish_cache_metrics(obs.metrics, baseline=cache_before)
     if meter is not None and not suffix:
-        # Untraced metered runs never hit a span snapshot; fold the
-        # batched scan accounting in before the caller reads the meter.
+        # Fold the batched scan accounting in before the caller reads the
+        # meter.
         meter.flush_mine_scans()
 
 
-def mine_array_partitioned(
-    array: Any,
-    min_support: int,
-    collector: SupportCollector,
-    meter: Any = None,
-) -> None:
-    """Partition-at-a-time mine loop over a partitioned (v3) CFP-array.
-
-    ``array`` is a :class:`repro.storage.partitioned.PartitionedCfpArray`
-    (typed structurally — core must not import storage): it adds
-    ``partitions_descending`` / ``begin_partition`` /
-    ``active_ranks_in_partition`` on top of the :class:`CfpArray`
-    traversal interface. Partitions are visited in descending rank order
-    and ranks descending within each, which concatenates to exactly
-    :func:`mine_array`'s global least-frequent-first order — the output
-    is byte-identical to the monolithic mine.
-
-    Each partition is projected once (:meth:`CfpArray.project`): one
-    sweep down the ranks resolves the parent links of every node in the
-    partition and of all their ancestors, decoding each ancestor subarray
-    once, and the partition's ranks are then mined from the projection
-    without touching the store again. ``begin_partition`` hands the
-    scheduler's next-partition hint to the array's background prefetcher
-    before the sweep starts, so the read-ahead of the next lower partition
-    overlaps the work on this one. Resident at any time: the pool, the
-    pinned hot set, the projection (16 bytes per node the sweep reached)
-    and, while a rank is mined, that one rank's paths.
-    """
-    for part in array.partitions_descending():
-        array.begin_partition(part.index)
-        ranks = array.active_ranks_in_partition(part)
-        _mine_projected(array, ranks, min_support, collector, (), meter)
-    if meter is not None:
-        meter.flush_mine_scans()
+#: Alias of :func:`mine_array`, kept because the end-to-end benchmark
+#: (benchmarks/e2e/wl_mining.py) imports it under this name.
+mine_array_partitioned = mine_array
 
 
-def _mine_projected(
+def mine_rank_span(
+    tracer: Tracer,
     array: CfpArray,
-    ranks: list[int],
+    rank: int,
     min_support: int,
     collector: SupportCollector,
     suffix: tuple[int, ...],
     meter: Any,
-) -> None:
-    """Mine ``ranks`` (descending) from one :meth:`CfpArray.project` sweep.
+    paths: list[tuple[tuple[int, ...], int]] | None = None,
+) -> Span:
+    """:func:`mine_rank` inside a ``mine_rank`` span — the loop's tracing hook.
 
-    The projection holds parent links only; each rank's paths are built
-    when the rank is mined and dropped with it.
+    The span carries ``rank``, ``subarray_bytes`` and ``kernel_backend``,
+    and the meter's movement over the rank (:func:`_attach_meter_delta`).
+    The parallel miner's worker tasks run through it too. Returns the
+    finished span; its attributes are the recorded ones.
     """
-    projection = array.project(ranks)
-    for rank in ranks:
-        mine_rank(
-            array, rank, min_support, collector, suffix, meter,
-            projection[rank],
-        )
-
-
-def _mine_array_traced(
-    array: CfpArray,
-    min_support: int,
-    collector: SupportCollector,
-    meter: Any,
-    tracer: Tracer,
-) -> None:
-    """Top-level mine loop with per-rank spans (serial tracing path)."""
-    # Results never depend on the meter; a local one supplies span deltas
-    # when the caller did not pass its own.
-    if meter is None:
-        meter = Meter()
-    cache_before = array.cache_counts()
-    backend = kernels.backend()  # constant per process, not per span
-    for rank in array.active_ranks_descending():
-        span = tracer.begin_span(
-            "mine_rank",
-            {
-                "rank": rank,
-                "subarray_bytes": array.subarray_bytes(rank),
-                "kernel_backend": backend,
-            },
-        )
-        try:
-            before = _meter_counts(meter)
-            mine_rank(array, rank, min_support, collector, (), meter)
-            _attach_meter_delta(span, meter, before)
-        finally:
-            tracer.end_span(span)
-    array.publish_cache_metrics(obs.metrics, baseline=cache_before)
+    span = tracer.begin_span(
+        "mine_rank",
+        {
+            "rank": rank,
+            "subarray_bytes": array.subarray_bytes(rank),
+            "kernel_backend": kernels.backend(),
+        },
+    )
+    try:
+        before = _meter_counts(meter)
+        mine_rank(array, rank, min_support, collector, suffix, meter, paths)
+        _attach_meter_delta(span, meter, before)
+    finally:
+        tracer.end_span(span)
+    return span
 
 
 def mine_rank(
@@ -209,8 +177,9 @@ def mine_rank(
     """Mine one top-level rank of ``array`` — the body of the outer loop.
 
     Exposed separately so the parallel miner (:mod:`repro.core.parallel`)
-    can run per-rank tasks through exactly the serial code path, which is
-    what makes worker output byte-identical to the serial miner's.
+    and PFP's per-group reducers (:mod:`repro.distributed.pfp`) run their
+    ranks through exactly the serial code path, which is what makes their
+    output byte-identical to the serial miner's.
 
     ``paths`` are the rank's prefix paths when the caller has already
     projected them (:meth:`CfpArray.project`); the rank's support is then

@@ -53,10 +53,9 @@ from repro.core import kernels
 from repro.core.cfp_array import CfpArray
 from repro.core.cfp_growth import (
     SupportCollector,
-    _attach_meter_delta,
-    _meter_counts,
     mine_array,
     mine_rank,
+    mine_rank_span,
 )
 from repro.errors import ParallelMineError, SupervisionError
 from repro.machine import Meter
@@ -259,16 +258,11 @@ def _mine_rank_task(
     registry_before = obs.metrics.counters() if want_trace else {}
     cache_before = array.cache_counts()
     try:
-        with tracer.span(
-            "mine_rank",
-            rank=rank,
-            subarray_bytes=array.subarray_bytes(rank),
-            kernel_backend=kernels.backend(),
-        ) as span:
-            before = _meter_counts(meter)
-            mine_rank(array, rank, min_support, collector, suffix, meter)
-            _attach_meter_delta(span, meter, before)
-            span.set("meter", meter.to_record())
+        span = mine_rank_span(
+            tracer, array, rank, min_support, collector, suffix, meter
+        )
+        # A finished span's attrs are its record's: the meter rides in it.
+        span.set("meter", meter.to_record())
     finally:
         if want_trace:
             obs.set_tracer(previous)

@@ -27,7 +27,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Hashable
 
-from repro.core.cfp_growth import _conditional_struct, mine_array
+from repro.core.cfp_growth import mine_rank
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.distributed.mapreduce import JobStats, MapReduceJob
@@ -122,20 +122,8 @@ def _mine_shard(
     # in exactly the group of its maximum (least frequent) rank. The
     # conditional recursion below each top-level rank is unrestricted.
     for rank in array.active_ranks_descending():
-        if rank not in group_ranks:
-            continue
-        support = array.rank_support(rank)
-        if support < min_support:
-            continue
-        itemset = (rank,)
-        collector.emit(itemset, support)
-        chain, cond_array = _conditional_struct(array, rank, min_support)
-        if chain is not None:
-            collector.emit_path_subsets(chain, itemset)
-            continue
-        if cond_array is None:
-            continue
-        mine_array(cond_array, min_support, collector, itemset)
+        if rank in group_ranks:
+            mine_rank(array, rank, min_support, collector)
     return collector.itemsets, tree_nodes, tree_bytes
 
 

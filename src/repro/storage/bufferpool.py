@@ -38,7 +38,7 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro import faultinject
@@ -158,6 +158,8 @@ class BufferPool:
         self._prefetched: set[int] = set()
         self._lock = threading.Lock()
         self.stats = BufferPoolStats()
+        #: Stats and page-file (reads, writes) at the last publish_metrics.
+        self._published = (BufferPoolStats(), (0, 0))
 
     @property
     def capacity_bytes(self) -> int:
@@ -337,24 +339,32 @@ class BufferPool:
         """Add the pool's counters (and page-file I/O) to a registry.
 
         Defaults to the process-wide :data:`repro.obs.metrics` registry.
-        Called once per pool lifetime (e.g. :meth:`DiskCfpArray.close`),
-        so it is an aggregation point, not a hot path.
+        Each call adds only the movement since the previous one, so the
+        counts arrive once however often the pool is published: a
+        draining server publishes it, then closing its store does again.
         """
         if registry is None:
             from repro.obs import metrics as registry  # type: ignore[no-redef]
         assert registry is not None
-        registry.add("bufferpool.hits", self.stats.hits)
-        registry.add("bufferpool.faults", self.stats.faults)
-        registry.add("bufferpool.evictions", self.stats.evictions)
-        registry.add("bufferpool.read_retries", self.stats.read_retries)
-        registry.add("bufferpool.bytes_read", self.stats.bytes_read)
-        registry.add("prefetch.issued", self.stats.prefetch_requests)
-        registry.add("prefetch.pages", self.stats.prefetched)
-        registry.add("prefetch.hits", self.stats.prefetch_hits)
-        registry.add("prefetch.wasted", self.stats.prefetch_wasted)
-        registry.add("prefetch.errors", self.stats.prefetch_errors)
-        registry.add("pagefile.reads", self._file.reads)
-        registry.add("pagefile.writes", self._file.writes)
+        with self._lock:
+            stats = replace(self.stats)
+            io = (self._file.reads, self._file.writes)
+            (last, last_io), self._published = self._published, (stats, io)
+        moved = BufferPoolStats(
+            *(now - then for now, then in zip(astuple(stats), astuple(last)))
+        )
+        registry.add("bufferpool.hits", moved.hits)
+        registry.add("bufferpool.faults", moved.faults)
+        registry.add("bufferpool.evictions", moved.evictions)
+        registry.add("bufferpool.read_retries", moved.read_retries)
+        registry.add("bufferpool.bytes_read", moved.bytes_read)
+        registry.add("prefetch.issued", moved.prefetch_requests)
+        registry.add("prefetch.pages", moved.prefetched)
+        registry.add("prefetch.hits", moved.prefetch_hits)
+        registry.add("prefetch.wasted", moved.prefetch_wasted)
+        registry.add("prefetch.errors", moved.prefetch_errors)
+        registry.add("pagefile.reads", io[0] - last_io[0])
+        registry.add("pagefile.writes", io[1] - last_io[1])
 
     def _make_room(self) -> None:
         while len(self._frames) >= self.capacity_pages:

@@ -15,16 +15,16 @@ resident only:
 
 The partition is the unit of disk access. A v3 file lists its
 partitions in a manifest; a v1/v2 file is one partition covering every
-rank, starting at the header's data page. The mine loop
-(:func:`repro.core.cfp_growth.mine_array_partitioned`)
-visits partitions in descending rank order. For each one it calls
-:meth:`begin_partition`, then projects the partition once
+rank, starting at the header's data page. :meth:`rank_groups` hands
+:func:`repro.core.cfp_growth.mine_array` one partition at a time, in
+descending rank order, and the loop projects each once
 (:meth:`CfpArray.project`): a single sweep down the ranks that reads
 each page of the partition and of the lower partitions at most once.
-:meth:`begin_partition` hands the next partition(s) in schedule order to
-a background :class:`~repro.storage.bufferpool.Prefetcher`, so their
-pages stream in while the sweep works on this one. A one-partition store
-starts no such thread: nothing is ever ahead of its only partition.
+As each partition is handed out, :meth:`begin_partition` passes the next
+one(s) to a background :class:`~repro.storage.bufferpool.Prefetcher`,
+so their pages stream in while the sweep works on this one. A
+one-partition store starts no such thread: nothing is ever ahead of its
+only partition.
 ``REPRO_PREFETCH=0`` disables the thread; ``REPRO_PREFETCH_DEPTH`` sets
 how many partitions ahead to request (default 1). Prefetch is pure
 opportunism — answers are identical with it off, dead, or fault-injected
@@ -161,25 +161,25 @@ class PartitionedCfpArray(CfpArray):
         self.close()
 
     # ------------------------------------------------------------------
-    # Partition scheduling (consumed by mine_array_partitioned)
+    # Partition scheduling (consumed by mine_array)
     # ------------------------------------------------------------------
 
-    def partitions_descending(self) -> list[PartitionInfo]:
-        """Partitions in mine order: highest (least frequent) ranks first."""
-        return list(reversed(self.partitions))
+    def rank_groups(self) -> Iterator[list[int]]:
+        """Each partition's non-empty ranks, highest partition first.
 
-    def active_ranks_in_partition(self, part: PartitionInfo) -> list[int]:
-        """Non-empty ranks of one partition, descending — the mine order.
-
-        Concatenated across :meth:`partitions_descending` this is exactly
-        :meth:`CfpArray.active_ranks_descending`, which is what makes the
-        partitioned mine byte-identical to the monolithic one.
+        Concatenated, the groups are :meth:`CfpArray.active_ranks_descending`,
+        so the partitioned mine is byte-identical to the monolithic one.
+        Read-ahead (:meth:`begin_partition`) starts as each group is handed
+        out.
         """
-        return [
-            rank
-            for rank in range(part.last_rank, part.first_rank - 1, -1)
-            if self.starts[rank + 1] > self.starts[rank]
-        ]
+        starts = self.starts
+        for part in reversed(self.partitions):
+            self.begin_partition(part.index)
+            yield [
+                rank
+                for rank in range(part.last_rank, part.first_rank - 1, -1)
+                if starts[rank + 1] > starts[rank]
+            ]
 
     def begin_partition(self, index: int) -> None:
         """Announce that partition ``index`` is about to be mined.
@@ -321,12 +321,12 @@ class PartitionedCfpArray(CfpArray):
 class DiskCfpArray(PartitionedCfpArray):
     """The paged reader with per-node walks: §4.3's access pattern.
 
-    :func:`repro.core.cfp_growth.mine_array` runs unchanged against it,
-    but every node a sideward scan or a backward walk visits is one pool
-    read of at most :attr:`_MAX_TRIPLE` bytes, cut off at the end of the
-    node's partition. That per-node pattern *is* what the out-of-core
-    experiment (``repro experiment outofcore``) measures, so no
-    bulk-decode shortcut is taken here.
+    :func:`repro.core.cfp_growth.mine_array` mines it rank by rank, never
+    from a projection, and every node a sideward scan or a backward walk
+    visits is one pool read of at most :attr:`_MAX_TRIPLE` bytes, cut off
+    at the end of the node's partition. That per-node pattern *is* what
+    the out-of-core experiment (``repro experiment outofcore``) measures,
+    so no bulk-decode shortcut is taken here.
     """
 
     #: Longest possible encoded triple (three 10-byte varints).
@@ -340,6 +340,10 @@ class DiskCfpArray(PartitionedCfpArray):
             part.data_page * PAGE_SIZE + offset,
             min(self._MAX_TRIPLE, part.byte_len - offset),
         )
+
+    def group_projection(self, ranks: list[int]) -> None:
+        """Always None: each rank is mined through its per-node walks."""
+        return None
 
     def iter_subarray(self, rank: int) -> Iterator[Triple]:
         end = self.starts[rank + 1] - self.starts[rank]

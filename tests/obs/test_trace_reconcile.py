@@ -1,4 +1,4 @@
-"""End-to-end: traces reconcile with the Meter, serial and parallel.
+"""End-to-end: traces reconcile with the Meter, serial, parallel and paged.
 
 The acceptance property of the observability layer: a ``--trace`` run's
 span stream, folded back through ``meter_from_trace``, reproduces the
@@ -16,15 +16,27 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.core.cfp_growth import mine_rank_transactions
+from repro.budget import mine_with_budget
+from repro.core.cfp_growth import mine_array, mine_rank_transactions
+from repro.core.conversion import convert
+from repro.core.ternary import TernaryCfpTree
 from repro.fptree.growth import ListCollector
 from repro.machine import Meter
 from repro.obs.report import meter_from_trace, read_trace
 from repro.obs.tracer import Tracer
+from repro.storage import PAGE_SIZE
 from repro.util.items import prepare_transactions
 from tests.conftest import normalize, random_database
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
+
+#: Traced legs: in-core mines with 1 and 2 jobs, and a paged spill.
+LEGS = [1, 2, "paged"]
+
+#: The paged leg's support and budget: its CFP-array (about 12 KB)
+#: spills to a partitioned store of several partitions.
+SPILL_SUPPORT = 40
+SPILL_BUDGET = 2 * PAGE_SIZE
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +56,11 @@ def prepared():
     database = random_database(23, n_transactions=120, n_items=14, max_length=9)
     table, transactions = prepare_transactions(database, 3)
     return table, transactions
+
+
+@pytest.fixture(scope="module")
+def spilled():
+    return random_database(23, n_transactions=2000, n_items=60, max_length=10)
 
 
 @pytest.fixture(autouse=True)
@@ -69,11 +86,45 @@ def _traced_run(prepared, jobs):
     return collector, meter, tracer
 
 
+def _traced_spill(database, spill_dir):
+    """The paged leg: ``mine_with_budget`` spills to a partitioned store.
+
+    The spill meters itself for its span deltas, so the live reference is
+    the same mine run in core: the Meter counts the mine's work, which
+    does not depend on the reader it runs on.
+    """
+    obs.metrics.reset()
+    tracer = Tracer()
+    previous = obs.set_tracer(tracer)
+    try:
+        __, report = mine_with_budget(
+            database, SPILL_SUPPORT, SPILL_BUDGET, spill_dir=spill_dir
+        )
+    finally:
+        obs.set_tracer(previous)
+    assert report.went_out_of_core and report.partitions > 2
+    table, transactions = prepare_transactions(database, SPILL_SUPPORT)
+    array = convert(TernaryCfpTree.from_rank_transactions(transactions, len(table)))
+    meter = Meter()
+    mine_array(array, SPILL_SUPPORT, ListCollector(), meter=meter)
+    return meter, tracer, list(array.active_ranks_descending())
+
+
+def _traced_leg(leg, prepared, spilled, tmp_path):
+    """``(meter, tracer, active ranks descending)`` of one traced leg."""
+    if leg == "paged":
+        return _traced_spill(spilled, tmp_path)
+    table, transactions = prepared
+    __, meter, tracer = _traced_run(prepared, leg)
+    array = convert(TernaryCfpTree.from_rank_transactions(transactions, len(table)))
+    return meter, tracer, list(array.active_ranks_descending())
+
+
 class TestReconciliation:
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_trace_totals_equal_meter_totals(self, prepared, tmp_path, jobs):
-        __, meter, tracer = _traced_run(prepared, jobs)
-        path = tmp_path / f"trace{jobs}.jsonl"
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_trace_totals_equal_meter_totals(self, prepared, spilled, tmp_path, leg):
+        meter, tracer, __ = _traced_leg(leg, prepared, spilled, tmp_path)
+        path = tmp_path / f"trace{leg}.jsonl"
         tracer.write_jsonl(path, registry=obs.metrics)
         rebuilt = meter_from_trace(read_trace(path).spans)
         assert rebuilt.total_ops == meter.total_ops
@@ -81,12 +132,22 @@ class TestReconciliation:
             p.bytes_touched for p in meter.phases
         )
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_trace_file_validates(self, prepared, tmp_path, check_trace, jobs):
-        __, __, tracer = _traced_run(prepared, jobs)
-        path = tmp_path / f"trace{jobs}.jsonl"
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_trace_file_validates(
+        self, prepared, spilled, tmp_path, check_trace, leg
+    ):
+        __, tracer, __ = _traced_leg(leg, prepared, spilled, tmp_path)
+        path = tmp_path / f"trace{leg}.jsonl"
         tracer.write_jsonl(path, registry=obs.metrics)
         assert check_trace.validate_trace(path) == []
+
+    @pytest.mark.parametrize("leg", LEGS)
+    def test_one_mine_rank_span_per_active_rank(
+        self, prepared, spilled, tmp_path, leg
+    ):
+        __, tracer, active = _traced_leg(leg, prepared, spilled, tmp_path)
+        ranks = [r.attrs["rank"] for r in tracer.records if r.name == "mine_rank"]
+        assert ranks == active
 
     def test_tracing_does_not_change_results(self, prepared):
         table, transactions = prepared

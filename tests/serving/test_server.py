@@ -296,6 +296,31 @@ class TestGracefulDrain:
 
         asyncio.run(body())
 
+    def test_drain_then_close_publishes_pool_counters_once(self, store):
+        # ReproServer.stop() publishes the pool into the process registry,
+        # and closing the store publishes it again on the way out.
+        obs.metrics.reset()
+
+        async def body() -> None:
+            server = await _started(store)
+            try:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port
+                )
+                await _rpc(reader, writer, {"op": "support", "items": [3, 4]})
+                writer.close()
+            finally:
+                await server.stop()
+
+        asyncio.run(body())
+        store.close()
+        store.close()
+        stats = store.array.pool.stats
+        assert stats.faults > 0
+        assert obs.metrics.get("bufferpool.faults") == stats.faults
+        assert obs.metrics.get("bufferpool.hits") == stats.hits
+        assert obs.metrics.get("bufferpool.bytes_read") == stats.bytes_read
+
 
 class TestFaultTransparency:
     def test_transient_read_faults_invisible_to_clients(self, tmp_path):

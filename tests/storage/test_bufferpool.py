@@ -85,3 +85,26 @@ class TestPublishMetrics:
             assert obs.metrics.get("bufferpool.faults") == before + 1
         finally:
             obs.metrics.reset()
+
+    def test_republishing_adds_nothing(self, pool):
+        # A draining server publishes the pool, then closing its store
+        # publishes it again: the counts must reach the registry once.
+        pool.read(0, PAGE_SIZE)
+        registry = MetricsRegistry()
+        for __ in range(3):
+            pool.publish_metrics(registry)
+        assert registry.get("bufferpool.faults") == pool.stats.faults == 1
+        assert registry.get("bufferpool.bytes_read") == pool.stats.bytes_read
+        assert registry.get("pagefile.reads") == 1
+
+    def test_later_publish_adds_only_the_movement(self, pool):
+        registry = MetricsRegistry()
+        pool.read(0, PAGE_SIZE)
+        pool.publish_metrics(registry)
+        pool.read(0, PAGE_SIZE)
+        pool.read(PAGE_SIZE, PAGE_SIZE)
+        pool.publish_metrics(registry)
+        assert registry.get("bufferpool.hits") == pool.stats.hits == 1
+        assert registry.get("bufferpool.faults") == pool.stats.faults == 2
+        assert registry.get("bufferpool.bytes_read") == 2 * PAGE_SIZE
+        assert registry.get("pagefile.reads") == 2

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro.core.cfp_growth import mine_array, mine_array_partitioned
+from repro.core.cfp_growth import mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.fptree.growth import ListCollector
@@ -205,7 +205,7 @@ class TestPartitionedMining:
                 path, pool_pages=pool_pages, hot_bytes=hot
             ) as disk:
                 got = ListCollector()
-                mine_array_partitioned(disk, MIN_SUPPORT, got)
+                mine_array(disk, MIN_SUPPORT, got)
             assert got.itemsets == reference.itemsets, (target, hot)
 
     def test_mining_with_prefetch_disabled_is_identical(
@@ -219,7 +219,7 @@ class TestPartitionedMining:
         with PartitionedCfpArray(path, pool_pages=2) as disk:
             assert disk._prefetcher is None
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
         assert got.itemsets == reference.itemsets
 
     def test_faults_bounded_by_one_read_per_page_per_partition(
@@ -239,7 +239,7 @@ class TestPartitionedMining:
             parts = disk.partitions
             assert len(parts) > 2 and all(part.pages == 1 for part in parts)
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
             faults = disk.pool.stats.faults
         bound = sum(
             sum(lower.pages for lower in parts[: part.index + 1]) for part in parts
@@ -279,20 +279,13 @@ class TestPartitionedMining:
 
     @pytest.mark.parametrize("fmt", sorted(SAVERS))
     @pytest.mark.parametrize(
-        "reader, mine",
+        "reader",
         [
-            pytest.param(PartitionedCfpArray, mine_array, id="paged-mine_array"),
-            pytest.param(
-                PartitionedCfpArray,
-                mine_array_partitioned,
-                id="paged-mine_array_partitioned",
-            ),
-            pytest.param(DiskCfpArray, mine_array, id="per-node-mine_array"),
+            pytest.param(PartitionedCfpArray, id="paged-mine_array"),
+            pytest.param(DiskCfpArray, id="per-node-mine_array"),
         ],
     )
-    def test_every_reader_mines_every_format(
-        self, array, tmp_path, fmt, reader, mine
-    ):
+    def test_every_reader_mines_every_format(self, array, tmp_path, fmt, reader):
         # v3 partitions are page-padded and may be stored out of rank
         # order, so no reader may treat the payload as one buffer; a
         # v1/v2 file is read as a single partition, hot set included.
@@ -306,7 +299,27 @@ class TestPartitionedMining:
                 assert len(disk.partitions) == 1
                 assert disk._prefetcher is None
             got = ListCollector()
-            mine(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
+        assert got.itemsets == reference.itemsets
+
+    def test_per_node_reader_is_never_projected(self, array, tmp_path, monkeypatch):
+        # The per-node walks are what the out-of-core experiment counts, so
+        # mine_array must mine DiskCfpArray rank by rank through them: no
+        # projection sweep and no bulk subarray decode.
+        reference = ListCollector()
+        mine_array(array, MIN_SUPPORT, reference)
+        path = tmp_path / "per-node.cfpa"
+        save_cfp_array_partitioned(array, path, partition_bytes=1024)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("DiskCfpArray left its per-node walks")
+
+        with DiskCfpArray(path, pool_pages=4) as disk:
+            assert len(disk.partitions) > 1
+            monkeypatch.setattr(disk, "project", forbidden)
+            monkeypatch.setattr(disk, "subarray_columns", forbidden)
+            got = ListCollector()
+            mine_array(disk, MIN_SUPPORT, got)
         assert got.itemsets == reference.itemsets
 
 
@@ -326,7 +339,7 @@ class TestCompaction:
         assert parts_after < parts_before
         with PartitionedCfpArray(path, pool_pages=4) as disk:
             got = ListCollector()
-            mine_array_partitioned(disk, MIN_SUPPORT, got)
+            mine_array(disk, MIN_SUPPORT, got)
         assert got.itemsets == reference.itemsets
 
     def test_compaction_converges(self, array, tmp_path):
