@@ -75,8 +75,8 @@ OBS_FREE_LOOPS = (
 )
 
 #: Modules that must use the bulk triple encoder, never per-field encodes
-#: (INV007).
-BULK_ENCODE_ONLY = ("repro/core/conversion.py",)
+#: (INV007): conversion, and the kernel that encodes every conditional.
+BULK_ENCODE_ONLY = ("repro/core/conversion.py", "repro/core/kernels.py")
 
 #: Call names that bypass the bulk encode kernel (INV007).
 _PER_FIELD_ENCODES = frozenset({"encode", "encode_into"})
@@ -85,7 +85,9 @@ _PER_FIELD_ENCODES = frozenset({"encode", "encode_into"})
 MINE_HOT_PATH = (
     "repro/core/cfp_array.py",
     "repro/core/cfp_growth.py",
+    "repro/core/kernels.py",
     "repro/core/parallel.py",
+    "repro/mining/topk.py",
     # The serving hot path: support queries answer straight off the array,
     # so the query module is held to the same columnar-consumption rule.
     "repro/util/queries.py",

@@ -213,27 +213,34 @@ class _SubarrayCache:
 
 
 class Projection(Mapping[int, list[tuple[tuple[int, ...], int]]]):
-    """Prefix paths of a rank set, from one :meth:`CfpArray.project` sweep.
+    """Prefix paths of a rank set, as parent and rank links per node.
 
     ``projection[rank] == prefix_paths(rank)`` for every requested rank.
-    The sweep keeps only the parent and the rank of every node it reached,
-    in two int64 columns. A lookup builds that one rank's paths from them,
-    through a memo that lives for the lookup, so the paths of a whole rank
-    set never exist at once: a caller that mines one rank at a time holds
-    one rank's paths plus 16 bytes per reached node.
+    It comes from one :meth:`CfpArray.project` sweep over the bytes, or
+    from :func:`repro.core.kernels.build_conditional_array`, which holds
+    the same links while it encodes a conditional. It keeps only the
+    parent and the rank of every node reached, and each requested rank's
+    node ids and counts in storage order. A lookup builds that one rank's
+    paths from them, through a memo that lives for the lookup, so the
+    paths of a whole rank set never exist at once: a caller that mines
+    one rank at a time holds one rank's paths plus the links.
     """
 
     __slots__ = ("_parents", "_node_ranks", "_requested")
 
     def __init__(
         self,
-        parents: array[int],
-        node_ranks: array[int],
-        requested: dict[int, tuple[array[int], Sequence[int]]],
+        parents: Sequence[int],
+        node_ranks: Sequence[int],
+        requested: dict[int, tuple[Sequence[int], Sequence[int]]],
     ) -> None:
         self._parents = parents
         self._node_ranks = node_ranks
         self._requested = requested
+
+    def support(self, rank: int) -> int:
+        """The rank's support: the sum of its nodes' counts, no paths built."""
+        return sum(self._requested[rank][1])
 
     def __getitem__(self, rank: int) -> list[tuple[tuple[int, ...], int]]:
         nodes, counts = self._requested[rank]
@@ -277,7 +284,9 @@ class CfpArray:
     Built by :func:`repro.core.conversion.convert`; the constructor takes
     the finished buffer and index. ``node_count`` is recorded by the
     converter (it knows it from the counts pass); hand-built arrays may
-    omit it and fall back to a lazy full-buffer scan.
+    omit it and fall back to a lazy full-buffer scan. The
+    conditional-array kernel also passes the ``projection`` it recorded
+    while encoding (:meth:`group_projection`).
 
     ``cache_budget`` > 0 enables a byte-budgeted LRU cache of bulk-decoded
     subarrays (:meth:`set_cache_budget`), which pays off when subarrays are
@@ -290,6 +299,7 @@ class CfpArray:
     _cache: _SubarrayCache | None = None
     _path_memo: dict[int, tuple[int, ...]] | None = None
     _active_ranks: tuple[int, ...] | None = None
+    _projection: Projection | None = None
 
     def __init__(
         self,
@@ -298,7 +308,7 @@ class CfpArray:
         starts: list[int],
         node_count: int | None = None,
         cache_budget: int = 0,
-        active_ranks: Sequence[int] | None = None,
+        projection: Projection | None = None,
     ) -> None:
         if len(starts) != n_ranks + 2:
             raise TreeError(
@@ -314,11 +324,14 @@ class CfpArray:
         self._node_count: int | None = node_count
         self._cache = _SubarrayCache(cache_budget) if cache_budget > 0 else None
         self._path_memo = None
-        #: Builder-supplied active ranks (descending), so sparse conditional
-        #: arrays skip the dense index scan in active_ranks_descending().
+        #: The builder's projection of every active rank (conditional
+        #: arrays), handed out once by group_projection(). Its keys are the
+        #: active ranks, so a sparse conditional skips the dense index scan
+        #: in active_ranks_descending().
+        self._projection = projection
         self._active_ranks = (
-            tuple(sorted(active_ranks, reverse=True))
-            if active_ranks is not None
+            tuple(sorted(projection, reverse=True))
+            if projection is not None
             else None
         )
 
@@ -355,30 +368,10 @@ class CfpArray:
         ``baseline`` (an earlier :meth:`cache_counts` snapshot) turns the
         publication into a delta, which is how long-lived arrays — the
         workers' cached shared-memory attachments — publish per-task.
-
-        The no-baseline form reads the cache counters directly with
-        static metric names: traced mines publish once per ephemeral
-        conditional array, and building the counts dict (plus an
-        f-string per key) was a measurable slice of the traced-run
-        overhead budget.
         """
-        cache = self._cache
-        if baseline is None:
-            if cache is None:
-                return
-            add = registry.add
-            if cache.hits:
-                add("subarray_cache.hits", cache.hits)
-            if cache.misses:
-                add("subarray_cache.misses", cache.misses)
-            if cache.evictions:
-                add("subarray_cache.evictions", cache.evictions)
-            if cache.rejected:
-                add("subarray_cache.rejected", cache.rejected)
-            return
-        counts = self.cache_counts()
-        for name, value in counts.items():
-            value -= baseline[name]
+        for name, value in self.cache_counts().items():
+            if baseline is not None:
+                value -= baseline[name]
             if value:
                 registry.add(f"subarray_cache.{name}", value)
 
@@ -573,7 +566,7 @@ class CfpArray:
         node_ranks = array("q")
         # Ancestors met but not yet visited: rank -> {local: node id}.
         pending: dict[int, dict[int, int]] = {}
-        requested: dict[int, tuple[array[int], Sequence[int]]] = {}
+        requested: dict[int, tuple[Sequence[int], Sequence[int]]] = {}
         heap = [-rank for rank in targets]
         heapq.heapify(heap)
         while heap:
@@ -701,10 +694,18 @@ class CfpArray:
     def group_projection(self, ranks: list[int]) -> Projection | None:
         """Prefix paths of a rank group, or None to mine it rank by rank.
 
-        Uncached, one :meth:`project` sweep decodes each subarray once.
-        Cached, :meth:`prefix_paths` already walks each node once through
-        the path memo, which a projection would only duplicate.
+        A conditional array hands out its builder's projection, which
+        covers every active rank, on the first call and drops its own
+        reference, so the caller's is the last one. Any later call, and
+        any other array, reads the bytes: uncached, one :meth:`project`
+        sweep decodes each subarray once; cached, :meth:`prefix_paths`
+        already walks each node once through the path memo, which a
+        projection would only duplicate.
         """
+        projection = self._projection
+        if projection is not None:
+            self._projection = None
+            return projection
         return None if self._cache is not None else self.project(ranks)
 
     def single_path(self) -> list[tuple[int, int]] | None:

@@ -8,10 +8,12 @@ The algorithm is FP-growth with both phases re-based on the CFP structures:
 3. **Mine** — one loop, :func:`mine_array`, for every reader and every
    recursion level. Items are processed least frequent first, in the
    rank groups the array schedules (one per partition of a paged store).
-   For each item, the prefix paths are resolved by backward traversal in
-   the CFP-array, a *conditional* CFP-array is encoded from them, and it
-   is mined recursively. Conditionals that degenerate to a single path
-   are enumerated directly without an array.
+   For each item of the top-level array, the prefix paths are resolved
+   by backward traversal in the CFP-array; a *conditional* CFP-array is
+   encoded from them and mined recursively, from the projection its
+   builder recorded while encoding it, so no conditional's bytes are
+   ever decoded. Conditionals that degenerate to a single path are
+   enumerated directly without an array.
 
 The miner is instrumented: a :class:`repro.machine.Meter` (optional)
 receives structure-size samples and operation counts that drive the
@@ -90,7 +92,8 @@ def mine_array(
     (:meth:`CfpArray.rank_groups`: one in memory, one per partition of a
     paged store) and each group is mined from one projection
     (:meth:`CfpArray.group_projection`), or rank by rank where that is
-    None: cached arrays and :class:`repro.storage.DiskCfpArray`.
+    None: cached arrays and :class:`repro.storage.DiskCfpArray`. A
+    conditional array's projection is the one its builder recorded.
 
     With a tracer installed (:func:`repro.obs.set_tracer`) the *top-level*
     loop (``suffix == ()``) runs each rank through :func:`mine_rank_span`:
@@ -204,13 +207,7 @@ def mine_rank(
         return
     if cond_array is None:
         return
-    cond_array.set_cache_budget(array.cache_budget)
     mine_array(cond_array, min_support, collector, itemset, meter)
-    if obs.get_tracer() is not None:
-        # Conditional arrays are ephemeral; fold their cache counters into
-        # the registry before they vanish (traced runs only — one publish
-        # per conditional tree, never per node).
-        cond_array.publish_cache_metrics(obs.metrics)
     if meter is not None:
         meter.on_structure_freed(cond_array.memory_bytes)
 
@@ -309,7 +306,8 @@ def _conditional_tree_reference(
 
 
 #: Default byte budget of the decoded-subarray LRU cache the mine phase
-#: enables on every CFP-array it creates (see docs/performance.md).
+#: enables on the top-level CFP-array it mines (see docs/performance.md;
+#: conditional arrays are mined from their builder's projection).
 #: Rebased from 1 MiB when the cache switched to charging *decoded*
 #: column bytes (the honest residency, ~6-8× the encoded length): 8 MiB
 #: decoded keeps at least the working set the old encoded-byte budget

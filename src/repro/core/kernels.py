@@ -23,12 +23,15 @@ of pointer chasing):
   byte what ``convert(tree)`` would produce, without ever materializing
   the intermediate ternary tree. The trie the tree would hold is implied
   by the longest-common-prefix structure of the sorted paths, so one
-  LCP walk emits the exact DFS preorder ``convert`` traverses.
+  LCP walk emits the exact DFS preorder ``convert`` traverses. The array
+  carries the projection that walk records, so the mine takes the
+  conditional's prefix paths from it and never decodes these bytes.
 
-The kernels are backend-neutral: they consume the plain-int path tuples
-the memoized :meth:`CfpArray.prefix_paths` hands out, whether the
-subarrays underneath were decoded by the stdlib ``array('q')`` kernel or
-the optional vectorized numpy one (:mod:`repro.compress.varint`). They
+The kernels are backend-neutral: they consume plain-int path tuples,
+from the memoized :meth:`CfpArray.prefix_paths` or a
+:class:`~repro.core.cfp_array.Projection`, whether the subarrays
+underneath were decoded by the stdlib ``array('q')`` kernel or the
+optional vectorized numpy one (:mod:`repro.compress.varint`). They
 change how fast the answer is computed, never the answer — the identity
 suites in ``tests/core/test_kernels_identity.py`` hold them to the
 retained reference implementation bit for bit.
@@ -40,7 +43,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from repro.compress import varint
-from repro.core.cfp_array import CfpArray
+from repro.core.cfp_array import CfpArray, Projection
 from repro.errors import ConversionError
 
 #: Prefix paths as handed out by ``CfpArray.prefix_paths``: ancestor
@@ -163,11 +166,9 @@ def build_conditional_array(
     :func:`~repro.core.conversion.assemble` then yields a byte stream
     identical to ``convert(tree)``. A path's count accrues to the
     cumulative count of every node it passes through, which is the
-    postorder accumulation the tree walk performs (§3.5).
-
-    Subtrees break exactly where the leading rank changes (LCP of zero),
-    matching the level-1 partition ``flatten_subtrees`` yields — and the
-    ascending-leading-rank splice order its byte-identity contract needs.
+    postorder accumulation the tree walk performs (§3.5). Splicing the
+    whole preorder in one pass places nodes exactly as splicing it one
+    level-1 subtree at a time, in ascending leading rank, would.
 
     The cursor walk here is :func:`~repro.core.conversion.splice_subtree`'s
     math on sparse per-rank state (dicts instead of dense ``n_ranks``-sized
@@ -176,68 +177,76 @@ def build_conditional_array(
     and scanning empty ranks than encoding — only the ``starts`` table,
     which the CFP-array format requires dense, is built full-width (via a
     C-speed ``accumulate``).
+
+    The walk already holds every node's rank and parent, and each rank's
+    nodes and counts in storage order: exactly a
+    :class:`~repro.core.cfp_array.Projection` of every active rank. The
+    array carries it, so mining the conditional never decodes or
+    re-links the bytes encoded here.
     """
-    cursors: dict[int, int] = {}
-    sizes_gaps: list[int] = [0] * (n_ranks + 2)  # per-rank sizes, shifted +1
-    triples: dict[int, list[tuple[int, int, int]]] = {}
-    tsize = varint.triple_size
-
-    def _splice(ranks: list[int], parents: list[int], counts: list[int]) -> None:
-        locals_ = [0] * len(ranks)
-        for index in range(len(ranks)):
-            rank = ranks[index]
-            parent = parents[index]
-            local = cursors.get(rank, 0)
-            locals_[index] = local
-            if parent < 0:
-                delta_item = rank
-                dpos = 0
-            else:
-                delta_item = rank - ranks[parent]
-                dpos = local - locals_[parent]
-            size = tsize(delta_item, dpos, counts[index])
-            cursors[rank] = local + size
-            sizes_gaps[rank + 1] += size
-            bucket = triples.get(rank)
-            if bucket is None:
-                bucket = triples[rank] = []
-            bucket.append((delta_item, dpos, counts[index]))
-
-    ranks: list[int] = []
+    # The trie in DFS preorder: per node id, its rank, its parent's id
+    # (-1 under the root) and its cumulative count.
+    node_ranks: list[int] = []
     parents: list[int] = []
     counts: list[int] = []
-    stack: list[int] = []  # indices into ``ranks`` along the current path
+    stack: list[int] = []  # node ids along the current path
     previous: tuple[int, ...] = ()
     for path, count in ordered:
         shared = 0
         limit = min(len(previous), len(path))
         while shared < limit and previous[shared] == path[shared]:
             shared += 1
-        if shared == 0 and ranks:
-            _splice(ranks, parents, counts)
-            ranks, parents, counts = [], [], []
         del stack[shared:]
         for depth in range(shared, len(path)):
             parents.append(stack[-1] if stack else -1)
-            stack.append(len(ranks))
-            ranks.append(path[depth])
+            stack.append(len(node_ranks))
+            node_ranks.append(path[depth])
             counts.append(0)
-        for index in stack:
-            counts[index] += count
+        for node in stack:
+            counts[node] += count
         previous = path
-    if ranks:
-        _splice(ranks, parents, counts)
+
+    cursors: dict[int, int] = {}
+    sizes_gaps: list[int] = [0] * (n_ranks + 2)  # per-rank sizes, shifted +1
+    # Per rank, in storage order: node ids, counts and triples to encode.
+    members: dict[int, tuple[list[int], list[int], list[tuple[int, int, int]]]] = {}
+    locals_ = [0] * len(node_ranks)
+    tsize = varint.triple_size
+    for node, rank in enumerate(node_ranks):
+        parent = parents[node]
+        local = cursors.get(rank, 0)
+        locals_[node] = local
+        if parent < 0:
+            delta_item = rank
+            dpos = 0
+        else:
+            delta_item = rank - node_ranks[parent]
+            dpos = local - locals_[parent]
+        count = counts[node]
+        size = tsize(delta_item, dpos, count)
+        cursors[rank] = local + size
+        sizes_gaps[rank + 1] += size
+        member = members.get(rank)
+        if member is None:
+            member = members[rank] = ([], [], [])
+        member[0].append(node)
+        member[1].append(count)
+        member[2].append((delta_item, dpos, count))
     starts = list(accumulate(sizes_gaps))
     buffer = bytearray(starts[-1])
-    nodes = 0
-    for rank, bucket in triples.items():
-        nodes += len(bucket)
-        end = varint.encode_triples(buffer, starts[rank], bucket)
+    requested: dict[int, tuple[Sequence[int], Sequence[int]]] = {}
+    for rank, (nodes, rank_counts, triples) in members.items():
+        end = varint.encode_triples(buffer, starts[rank], triples)
         if end != starts[rank + 1]:
             raise ConversionError(
                 f"conditional subarray of rank {rank} filled "
                 f"{end - starts[rank]} of {starts[rank + 1] - starts[rank]} bytes"
             )
+        requested[rank] = (nodes, rank_counts)
     return CfpArray(
-        n_ranks, buffer, starts, node_count=nodes, active_ranks=list(triples)
+        n_ranks,
+        buffer,
+        starts,
+        node_count=len(node_ranks),
+        projection=Projection(parents, node_ranks, requested),
     )

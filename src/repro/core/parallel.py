@@ -234,9 +234,8 @@ def _mine_rank_task(
     in the ``mine_rank`` span's ``meter`` attribute and the parent folds
     it back with :meth:`Meter.from_record` + :meth:`Meter.merge` — the
     span stream is the one channel, so trace and meter cannot drift.
-    ``metrics_delta`` carries this task's movement of the worker-local
-    metric registry (conditional-cache publications) plus the shared
-    attachment's subarray-cache delta.
+    ``metrics_delta`` carries this task's movement of the shared
+    attachment's subarray cache (traced runs only).
 
     ``faults`` is the parent's exported fault-injection plan (``None``
     outside chaos runs); it is adopted before anything else so count-
@@ -251,33 +250,16 @@ def _mine_rank_task(
         return collector.events, None, None
     meter = Meter()
     tracer = Tracer()
-    # Install the worker tracer only for traced runs: it gates the
-    # conditional-cache metric publications inside mine_rank, which a
-    # meter-only run must skip exactly like the serial miner does.
-    previous = obs.set_tracer(tracer) if want_trace else None
-    registry_before = obs.metrics.counters() if want_trace else {}
     cache_before = array.cache_counts()
-    try:
-        span = mine_rank_span(
-            tracer, array, rank, min_support, collector, suffix, meter
-        )
-        # A finished span's attrs are its record's: the meter rides in it.
-        span.set("meter", meter.to_record())
-    finally:
-        if want_trace:
-            obs.set_tracer(previous)
+    span = mine_rank_span(tracer, array, rank, min_support, collector, suffix, meter)
+    # A finished span's attrs are its record's: the meter rides in it.
+    span.set("meter", meter.to_record())
     delta: dict[str, int] = {}
     if want_trace:
-        for key, value in obs.metrics.counters().items():
-            moved = value - registry_before.get(key, 0)
-            if moved:
-                delta[key] = moved
         for key, value in array.cache_counts().items():
             moved = value - cache_before[key]
             if moved:
-                delta[f"subarray_cache.{key}"] = delta.get(
-                    f"subarray_cache.{key}", 0
-                ) + moved
+                delta[f"subarray_cache.{key}"] = moved
     return collector.events, tracer.export(), delta or None
 
 

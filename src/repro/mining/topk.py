@@ -190,18 +190,33 @@ def mine_top_k(
 def _mine_array(
     array: CfpArray, collector: _TopKCollector, suffix: tuple[int, ...]
 ) -> None:
-    """The §2.1 mine loop against arrays, pruned by the rising threshold."""
-    for rank in array.active_ranks_descending():
-        support = array.rank_support(rank)
+    """The §2.1 mine loop against arrays, pruned by the rising threshold.
+
+    Below the top level every array is a kernel-built conditional, mined
+    from its builder's projection (:meth:`CfpArray.group_projection`).
+    The top level, the served array, stays on per-rank walks, so an
+    uncached store is not projected whole on every request.
+    """
+    ranks = list(array.active_ranks_descending())
+    projection = array.group_projection(ranks) if suffix else None
+    for rank in ranks:
+        if projection is None:
+            support = array.rank_support(rank)
+        else:
+            support = projection.support(rank)
         if support < collector.threshold:
             continue
         itemset = (rank,) + suffix
         collector.emit(itemset, support)
-        chain, cond_array = _conditional_struct(array, rank, collector.threshold)
+        chain, cond_array = _conditional_struct(
+            array,
+            rank,
+            collector.threshold,
+            paths=None if projection is None else projection[rank],
+        )
         if chain is not None:
             collector.emit_path_subsets(chain, itemset)
         elif cond_array is not None:
-            cond_array.set_cache_budget(array.cache_budget)
             _mine_array(cond_array, collector, itemset)
 
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.budget import mine_with_budget
 from repro.compress import varint
 from repro.core import kernels
 from repro.core.cfp_array import CfpArray
@@ -31,7 +32,9 @@ from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import TreeError
 from repro.fptree.growth import ListCollector, mine_ranks
+from repro.mining.topk import mine_top_k
 from repro.storage import DiskCfpArray, PartitionedCfpArray, save_cfp_array
+from repro.storage.pagefile import PAGE_SIZE
 from repro.util.items import prepare_transactions
 from tests.conftest import db_strategy, random_database
 
@@ -57,6 +60,25 @@ def assert_identical_arrays(got, want):
     assert bytes(got.buffer) == bytes(want.buffer)
     assert got.starts == want.starts
     assert got.node_count == want.node_count
+
+
+def assert_builder_projection(cond):
+    """A conditional carries its bytes' projection, and hands it out once.
+
+    Rank for rank, the builder's projection holds the paths a sweep over
+    the encoded bytes resolves, in the same order; a second
+    ``group_projection`` call projects the bytes.
+    """
+    active = list(cond.active_ranks_descending())
+    want = CfpArray(cond.n_ranks, cond.buffer, cond.starts).project(active)
+    carried = cond.group_projection(active)
+    assert sorted(carried) == sorted(active)
+    for rank in active:
+        assert carried[rank] == want[rank]
+        assert carried.support(rank) == sum(count for __, count in want[rank])
+    again = cond.group_projection(active)
+    assert again is not carried
+    assert dict(again) == dict(want)
 
 
 def mine_reference(array, min_support):
@@ -108,6 +130,7 @@ class TestConditionalStructIdentity:
             else:
                 assert chain is None
                 assert_identical_arrays(cond, convert(ref_tree))
+                assert_builder_projection(cond)
                 if depth < 1:  # one recursion level: conditional conditionals
                     self.check_array(cond, min_support, depth + 1)
 
@@ -237,6 +260,49 @@ class TestMinedOutputIdentity:
         want = mine_ranks(list(transactions), len(table), min_support)
         assert sorted(got.itemsets) == sorted(want.itemsets)
 
+    @pytest.mark.parametrize("leg", ["mine", "spill", "topk"])
+    def test_mine_never_decodes_a_conditional(self, leg, tmp_path, monkeypatch):
+        # Every conditional is mined from the projection its builder
+        # carries, so only the top-level array or the paged reader is
+        # ever decoded.
+        built: list[CfpArray] = []
+        decoded: list[CfpArray] = []
+        build = kernels.build_conditional_array
+
+        def building(ordered, n_ranks):
+            cond = build(ordered, n_ranks)
+            built.append(cond)
+            return cond
+
+        def recording(columns):
+            def subarray_columns(self, rank):
+                decoded.append(self)
+                return columns(self, rank)
+
+            return subarray_columns
+
+        monkeypatch.setattr(kernels, "build_conditional_array", building)
+        for cls in (CfpArray, PartitionedCfpArray):
+            monkeypatch.setattr(
+                cls, "subarray_columns", recording(cls.subarray_columns)
+            )
+        if leg == "mine":
+            table, transactions = prepare_transactions(random_database(3), 2)
+            mine_rank_transactions(transactions, len(table), 2)
+        elif leg == "spill":
+            database = random_database(
+                23, n_transactions=2000, n_items=60, max_length=10
+            )
+            __, report = mine_with_budget(
+                database, 40, 2 * PAGE_SIZE, spill_dir=tmp_path
+            )
+            assert report.went_out_of_core
+        else:
+            array, __ = build_array(random_database(3), 1)
+            mine_top_k(array, 20)
+        assert built and decoded
+        assert not {id(cond) for cond in built} & {id(arr) for arr in decoded}
+
 
 class TestKernelUnits:
     """Each kernel against its naive per-node definition."""
@@ -287,6 +353,7 @@ class TestKernelUnits:
             tree.insert(list(path), count)
         got = kernels.build_conditional_array(sorted(aggregated.items()), 12)
         assert_identical_arrays(got, convert(tree))
+        assert_builder_projection(got)
 
     def test_backend_reports_a_known_kernel(self):
         assert kernels.backend() in {"python", "numpy"}
