@@ -66,6 +66,8 @@ TYPED_PACKAGES = (
     "repro/storage/",
     "repro/runtime/",
     "repro/faultinject/",
+    # Top-k's loop mines both CFP-arrays and sized conditionals.
+    "repro/mining/topk.py",
 )
 
 #: Verification modules whose loops must stay instrumentation-free (INV006).
@@ -75,8 +77,8 @@ OBS_FREE_LOOPS = (
 )
 
 #: Modules that must use the bulk triple encoder, never per-field encodes
-#: (INV007): conversion, and the kernel that encodes every conditional.
-BULK_ENCODE_ONLY = ("repro/core/conversion.py", "repro/core/kernels.py")
+#: (INV007): conversion.
+BULK_ENCODE_ONLY = ("repro/core/conversion.py",)
 
 #: Call names that bypass the bulk encode kernel (INV007).
 _PER_FIELD_ENCODES = frozenset({"encode", "encode_into"})

@@ -42,6 +42,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from repro.algorithms import get_miner, iter_miners
+from repro.core.cfp_growth import DEFAULT_CACHE_BUDGET
 from repro.datasets.binary import read_binary, write_binary
 from repro.datasets.fimi import read_fimi, write_fimi
 from repro.datasets.stats import dataset_stats
@@ -725,9 +726,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--cache-budget",
         type=int,
-        default=1 << 20,
+        default=DEFAULT_CACHE_BUDGET,
         metavar="BYTES",
-        help="decoded-subarray cache budget (default 1 MiB)",
+        help="decoded-subarray cache budget "
+        f"(default {DEFAULT_CACHE_BUDGET >> 20} MiB)",
     )
     serve.add_argument("--workers", type=int, default=8)
     serve.add_argument(

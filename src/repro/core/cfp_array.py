@@ -216,14 +216,13 @@ class Projection(Mapping[int, list[tuple[tuple[int, ...], int]]]):
     """Prefix paths of a rank set, as parent and rank links per node.
 
     ``projection[rank] == prefix_paths(rank)`` for every requested rank.
-    It comes from one :meth:`CfpArray.project` sweep over the bytes, or
-    from :func:`repro.core.kernels.build_conditional_array`, which holds
-    the same links while it encodes a conditional. It keeps only the
-    parent and the rank of every node reached, and each requested rank's
-    node ids and counts in storage order. A lookup builds that one rank's
-    paths from them, through a memo that lives for the lookup, so the
-    paths of a whole rank set never exist at once: a caller that mines
-    one rank at a time holds one rank's paths plus the links.
+    It comes from one :meth:`CfpArray.project` sweep over the bytes. It
+    keeps only the parent and the rank of every node reached, and each
+    requested rank's node ids and counts in storage order. A lookup
+    builds that one rank's paths from them, through a memo that lives for
+    the lookup, so the paths of a whole rank set never exist at once: a
+    caller that mines one rank at a time holds one rank's paths plus the
+    links.
     """
 
     __slots__ = ("_parents", "_node_ranks", "_requested")
@@ -237,10 +236,6 @@ class Projection(Mapping[int, list[tuple[tuple[int, ...], int]]]):
         self._parents = parents
         self._node_ranks = node_ranks
         self._requested = requested
-
-    def support(self, rank: int) -> int:
-        """The rank's support: the sum of its nodes' counts, no paths built."""
-        return sum(self._requested[rank][1])
 
     def __getitem__(self, rank: int) -> list[tuple[tuple[int, ...], int]]:
         nodes, counts = self._requested[rank]
@@ -284,9 +279,9 @@ class CfpArray:
     Built by :func:`repro.core.conversion.convert`; the constructor takes
     the finished buffer and index. ``node_count`` is recorded by the
     converter (it knows it from the counts pass); hand-built arrays may
-    omit it and fall back to a lazy full-buffer scan. The
-    conditional-array kernel also passes the ``projection`` it recorded
-    while encoding (:meth:`group_projection`).
+    omit it and fall back to a lazy full-buffer scan. Conditionals are
+    not CfpArrays: the mine sizes them without encoding them
+    (:class:`repro.core.kernels.ConditionalArray`).
 
     ``cache_budget`` > 0 enables a byte-budgeted LRU cache of bulk-decoded
     subarrays (:meth:`set_cache_budget`), which pays off when subarrays are
@@ -298,8 +293,6 @@ class CfpArray:
     #: corruption-injection tests) behave like cache-off arrays.
     _cache: _SubarrayCache | None = None
     _path_memo: dict[int, tuple[int, ...]] | None = None
-    _active_ranks: tuple[int, ...] | None = None
-    _projection: Projection | None = None
 
     def __init__(
         self,
@@ -308,7 +301,6 @@ class CfpArray:
         starts: list[int],
         node_count: int | None = None,
         cache_budget: int = 0,
-        projection: Projection | None = None,
     ) -> None:
         if len(starts) != n_ranks + 2:
             raise TreeError(
@@ -324,16 +316,6 @@ class CfpArray:
         self._node_count: int | None = node_count
         self._cache = _SubarrayCache(cache_budget) if cache_budget > 0 else None
         self._path_memo = None
-        #: The builder's projection of every active rank (conditional
-        #: arrays), handed out once by group_projection(). Its keys are the
-        #: active ranks, so a sparse conditional skips the dense index scan
-        #: in active_ranks_descending().
-        self._projection = projection
-        self._active_ranks = (
-            tuple(sorted(projection, reverse=True))
-            if projection is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Decoded-subarray cache
@@ -668,15 +650,7 @@ class CfpArray:
         return sum(self.subarray_columns(rank).counts)
 
     def active_ranks_descending(self) -> Iterator[int]:
-        """Ranks with a non-empty subarray, least frequent first.
-
-        A builder that already knows the active set (the conditional-array
-        kernel) supplies it up front; a mined conditional touches a
-        handful of ranks, and scanning the full dense index per
-        conditional cost more than its whole mine step.
-        """
-        if self._active_ranks is not None:
-            return iter(self._active_ranks)
+        """Ranks with a non-empty subarray, least frequent first."""
         return (
             rank
             for rank in range(self.n_ranks, 0, -1)
@@ -694,18 +668,10 @@ class CfpArray:
     def group_projection(self, ranks: list[int]) -> Projection | None:
         """Prefix paths of a rank group, or None to mine it rank by rank.
 
-        A conditional array hands out its builder's projection, which
-        covers every active rank, on the first call and drops its own
-        reference, so the caller's is the last one. Any later call, and
-        any other array, reads the bytes: uncached, one :meth:`project`
-        sweep decodes each subarray once; cached, :meth:`prefix_paths`
-        already walks each node once through the path memo, which a
-        projection would only duplicate.
+        Uncached, one :meth:`project` sweep decodes each subarray once;
+        cached, :meth:`prefix_paths` already walks each node once through
+        the path memo, which a projection would only duplicate.
         """
-        projection = self._projection
-        if projection is not None:
-            self._projection = None
-            return projection
         return None if self._cache is not None else self.project(ranks)
 
     def single_path(self) -> list[tuple[int, int]] | None:

@@ -5,15 +5,16 @@ The algorithm is FP-growth with both phases re-based on the CFP structures:
 1. **Build** — two database passes produce a ternary CFP-tree.
 2. **Convert** — the tree becomes a CFP-array; the tree is discarded
    immediately afterwards so its memory can serve the mine phase (§3.5).
-3. **Mine** — one loop, :func:`mine_array`, for every reader and every
-   recursion level. Items are processed least frequent first, in the
-   rank groups the array schedules (one per partition of a paged store).
-   For each item of the top-level array, the prefix paths are resolved
-   by backward traversal in the CFP-array; a *conditional* CFP-array is
-   encoded from them and mined recursively, from the projection its
-   builder recorded while encoding it, so no conditional's bytes are
-   ever decoded. Conditionals that degenerate to a single path are
-   enumerated directly without an array.
+3. **Mine** — one loop, :func:`mine_array`, for every reader. Items are
+   processed least frequent first, in the rank groups the array
+   schedules (one per partition of a paged store). For each item of the
+   top-level array, the prefix paths are resolved by backward traversal
+   in the CFP-array; a *conditional* CFP-array is sized from them, node
+   for node as ``convert`` would lay it out, and mined recursively from
+   the prefix paths its builder recorded while sizing it
+   (:class:`repro.core.kernels.ConditionalArray`): no conditional's
+   bytes are written or read. Conditionals that degenerate to a single
+   path are enumerated directly without an array.
 
 The miner is instrumented: a :class:`repro.machine.Meter` (optional)
 receives structure-size samples and operation counts that drive the
@@ -31,6 +32,7 @@ from repro.algorithms.base import register
 from repro.core import kernels
 from repro.core.cfp_array import CfpArray
 from repro.core.conversion import convert
+from repro.core.kernels import ConditionalArray
 from repro.core.ternary import TernaryCfpTree
 from repro.fptree.growth import ListCollector
 from repro.machine.meter import Meter
@@ -49,14 +51,17 @@ class SupportCollector(Protocol):
 
 
 def _meter_counts(meter: Any) -> tuple[int, int, int, float]:
-    """Snapshot of a meter's cumulative counters, for span deltas."""
+    """Snapshot of a meter's cumulative counters, for span deltas.
+
+    Taken twice per traced top-level rank, so it sums the phases in one
+    plain loop.
+    """
     meter.flush_mine_scans()
-    return (
-        meter._total_ops,
-        sum(p.bytes_touched for p in meter.phases),
-        sum(p.io_bytes for p in meter.phases),
-        meter._integral,
-    )
+    touched = io_bytes = 0
+    for phase in meter.phases:
+        touched += phase.bytes_touched
+        io_bytes += phase.io_bytes
+    return meter._total_ops, touched, io_bytes, meter._integral
 
 
 def _attach_meter_delta(
@@ -87,13 +92,13 @@ def mine_array(
 ) -> None:
     """Recursively mine a CFP-array (the §2.1 mine loop on §3.4 structures).
 
-    The one mine loop, for every reader and at every depth. The array
-    schedules its active ranks, least frequent first, in groups
-    (:meth:`CfpArray.rank_groups`: one in memory, one per partition of a
-    paged store) and each group is mined from one projection
-    (:meth:`CfpArray.group_projection`), or rank by rank where that is
-    None: cached arrays and :class:`repro.storage.DiskCfpArray`. A
-    conditional array's projection is the one its builder recorded.
+    The one mine loop, for every reader. The array schedules its active
+    ranks, least frequent first, in groups (:meth:`CfpArray.rank_groups`:
+    one in memory, one per partition of a paged store) and each group is
+    mined from one projection (:meth:`CfpArray.group_projection`), or
+    rank by rank where that is None: cached arrays and
+    :class:`repro.storage.DiskCfpArray`. Each rank's conditional is
+    mined by :func:`mine_rank` from the paths its builder recorded.
 
     With a tracer installed (:func:`repro.obs.set_tracer`) the *top-level*
     loop (``suffix == ()``) runs each rank through :func:`mine_rank_span`:
@@ -169,7 +174,7 @@ def mine_rank_span(
 
 
 def mine_rank(
-    array: CfpArray,
+    array: CfpArray | ConditionalArray,
     rank: int,
     min_support: int,
     collector: SupportCollector,
@@ -177,12 +182,14 @@ def mine_rank(
     meter: Any = None,
     paths: list[tuple[tuple[int, ...], int]] | None = None,
 ) -> None:
-    """Mine one top-level rank of ``array`` — the body of the outer loop.
+    """Mine one rank of ``array`` — the body of the mine loop.
 
     Exposed separately so the parallel miner (:mod:`repro.core.parallel`)
     and PFP's per-group reducers (:mod:`repro.distributed.pfp`) run their
     ranks through exactly the serial code path, which is what makes their
-    output byte-identical to the serial miner's.
+    output byte-identical to the serial miner's. A conditional's ranks
+    recurse through it directly, least frequent first: the conditional
+    holds every rank's paths, so it has no groups to schedule.
 
     ``paths`` are the rank's prefix paths when the caller has already
     projected them (:meth:`CfpArray.project`); the rank's support is then
@@ -207,40 +214,44 @@ def mine_rank(
         return
     if cond_array is None:
         return
-    mine_array(cond_array, min_support, collector, itemset, meter)
+    for cond_rank in cond_array.active_ranks_descending():
+        mine_rank(cond_array, cond_rank, min_support, collector, itemset, meter)
     if meter is not None:
         meter.on_structure_freed(cond_array.memory_bytes)
 
 
 def _conditional_struct(
-    array: CfpArray,
+    array: CfpArray | ConditionalArray,
     rank: int,
     min_support: int,
     meter: Any = None,
     paths: list[tuple[tuple[int, ...], int]] | None = None,
-) -> tuple[list[tuple[int, int]] | None, CfpArray | None]:
+) -> tuple[list[tuple[int, int]] | None, ConditionalArray | None]:
     """Build ``rank``'s conditional structure via the columnar kernels.
 
     Returns ``(chain, None)`` when the conditional degenerates to a
     single path — ``chain`` is exactly what the conditional tree's
     ``single_path()`` would report, but no tree is ever built —
-    ``(None, cond_array)`` with the conditional CFP-array encoded
-    straight from the aggregated paths otherwise, and ``(None, None)``
-    when nothing frequent remains. The mined output is bit-identical to
+    ``(None, cond_array)`` with the conditional sized straight from the
+    aggregated paths otherwise, and ``(None, None)`` when nothing
+    frequent remains. The mined output is identical to
     :func:`_conditional_tree_reference` (the per-node implementation this
     replaced, retained for the identity suites): sorted aggregated paths
     determine the logical conditional trie, and
-    :func:`repro.core.kernels.build_conditional_array` encodes that trie
-    through the same splice/assemble primitives ``convert`` uses — the
-    intermediate ternary tree never exists. ``paths`` are the rank's
-    already-projected prefix paths, when the caller has them.
+    :func:`repro.core.kernels.build_conditional_array` lays that trie
+    out with the same placement math ``convert`` uses, so the
+    conditional's sizes are ``convert(tree)``'s, and records each rank's
+    prefix paths; neither the intermediate ternary tree nor the encoded
+    bytes ever exist. ``paths`` are the rank's already-projected prefix
+    paths, when the caller has them.
     """
     if paths is None:
         paths = array.prefix_paths(rank)
     if not paths:
         if meter is not None:
+            starts = array.starts
             meter._scan_ops += 1
-            meter._scan_bytes += array.subarray_bytes(rank)
+            meter._scan_bytes += starts[rank + 1] - starts[rank]
         return None, None
     # Prefix paths hold strict ancestors, so every rank on them is < rank:
     # the counts column only needs to reach rank - 1, not n_ranks.
@@ -252,8 +263,9 @@ def _conditional_struct(
         # kernels made the conditionals themselves this cheap. Readers
         # fold the pending adds in via Meter.flush_mine_scans().
         counts, items = kernels.conditional_counts_metered(paths, rank - 1)
+        starts = array.starts
         meter._scan_ops += items + 1
-        meter._scan_bytes += array.subarray_bytes(rank) + items * 3
+        meter._scan_bytes += starts[rank + 1] - starts[rank] + items * 3
     aggregated = kernels.filter_aggregate(paths, counts, min_support)
     if not aggregated:
         return None, None
@@ -307,7 +319,7 @@ def _conditional_tree_reference(
 
 #: Default byte budget of the decoded-subarray LRU cache the mine phase
 #: enables on the top-level CFP-array it mines (see docs/performance.md;
-#: conditional arrays are mined from their builder's projection).
+#: conditionals have no bytes to decode).
 #: Rebased from 1 MiB when the cache switched to charging *decoded*
 #: column bytes (the honest residency, ~6-8× the encoded length): 8 MiB
 #: decoded keeps at least the working set the old encoded-byte budget

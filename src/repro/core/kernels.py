@@ -18,23 +18,26 @@ of pointer chasing):
   conditional straight from the aggregated paths (every path a prefix
   of the longest) and suffix-sums the counts exactly as
   :meth:`TernaryCfpTree.single_path` would — the tree is never built;
-* :func:`build_conditional_array` — encodes the branching conditionals
-  straight from the sorted aggregated paths into a CFP-array, byte for
-  byte what ``convert(tree)`` would produce, without ever materializing
+* :func:`build_conditional_array` — sizes the branching conditionals
+  straight from the sorted aggregated paths: every subarray exactly as
+  long as ``convert(tree)`` would make it, without ever materializing
   the intermediate ternary tree. The trie the tree would hold is implied
   by the longest-common-prefix structure of the sorted paths, so one
-  LCP walk emits the exact DFS preorder ``convert`` traverses. The array
-  carries the projection that walk records, so the mine takes the
-  conditional's prefix paths from it and never decodes these bytes.
+  LCP walk emits the exact DFS preorder ``convert`` traverses. No bytes
+  are written: the result (:class:`ConditionalArray`) carries the sizes
+  the Meter charges and the prefix paths that walk held, which are all
+  the mine reads of a conditional.
 
 The kernels are backend-neutral: they consume plain-int path tuples,
-from the memoized :meth:`CfpArray.prefix_paths` or a
-:class:`~repro.core.cfp_array.Projection`, whether the subarrays
-underneath were decoded by the stdlib ``array('q')`` kernel or the
-optional vectorized numpy one (:mod:`repro.compress.varint`). They
-change how fast the answer is computed, never the answer — the identity
-suites in ``tests/core/test_kernels_identity.py`` hold them to the
-retained reference implementation bit for bit.
+from the memoized :meth:`CfpArray.prefix_paths`, a
+:class:`~repro.core.cfp_array.Projection` or a conditional's recorded
+paths, whether the subarrays underneath were decoded by the stdlib
+``array('q')`` kernel or the optional vectorized numpy one
+(:mod:`repro.compress.varint`). They change how fast the answer is
+computed, never the answer — the identity suites in
+``tests/core/test_kernels_identity.py`` hold them to the retained
+reference implementation: the same single-path verdicts, and the same
+sizes and prefix paths as ``convert`` of the reference tree.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from repro.compress import varint
-from repro.core.cfp_array import CfpArray, Projection
-from repro.errors import ConversionError
+from repro.memman.pointers import POINTER_SIZE
 
 #: Prefix paths as handed out by ``CfpArray.prefix_paths``: ancestor
 #: ranks ascending, with the node's cumulative count.
@@ -149,10 +151,61 @@ def single_path_merge(
     return [(rank, cumulative[d + 1]) for d, rank in enumerate(longest)]
 
 
+class ConditionalArray:
+    """A conditional CFP-array, sized exactly but never encoded.
+
+    :func:`build_conditional_array` places every node where
+    ``convert(tree)`` would, so :attr:`starts`, :attr:`node_count` and
+    :attr:`memory_bytes` are those of the encoded array, and the Meter
+    charges each conditional its true CFP-array size (§3.5,
+    ``peak_cond_bytes``). No bytes are written, because the mine never
+    reads them: it reads each rank's prefix paths, which the builder held
+    as slices of the sorted paths it walked (Grahne & Zhu's projected
+    conditional databases), and each rank's support.
+
+    The read surface is the one the mine uses on a
+    :class:`~repro.core.cfp_array.CfpArray`:
+    :meth:`active_ranks_descending`, :meth:`rank_support` and
+    :meth:`prefix_paths`.
+    """
+
+    __slots__ = ("n_ranks", "starts", "node_count", "memory_bytes", "_paths")
+
+    def __init__(
+        self,
+        n_ranks: int,
+        starts: list[int],
+        node_count: int,
+        paths: dict[int, list[tuple[tuple[int, ...], int]]],
+    ) -> None:
+        self.n_ranks = n_ranks
+        #: The encoded array's item index (:attr:`CfpArray.starts`).
+        self.starts = starts
+        self.node_count = node_count
+        #: Buffer bytes plus the item index, as :attr:`CfpArray.memory_bytes`.
+        self.memory_bytes = starts[-1] + (n_ranks + 1) * POINTER_SIZE
+        self._paths = paths
+
+    def active_ranks_descending(self) -> list[int]:
+        """Ranks with at least one node, least frequent first."""
+        return sorted(self._paths, reverse=True)
+
+    def prefix_paths(self, rank: int) -> list[tuple[tuple[int, ...], int]]:
+        """``(ancestor ranks, count)`` per node of ``rank``, in storage order.
+
+        The list is the conditional's own, not a copy: callers only read it.
+        """
+        return self._paths[rank]
+
+    def rank_support(self, rank: int) -> int:
+        """The rank's support: the sum of its nodes' counts."""
+        return sum([count for __, count in self._paths[rank]])
+
+
 def build_conditional_array(
     ordered: Sequence[tuple[tuple[int, ...], int]], n_ranks: int
-) -> CfpArray:
-    """Encode sorted aggregated paths directly into a conditional CFP-array.
+) -> ConditionalArray:
+    """Size the conditional CFP-array of sorted aggregated paths.
 
     ``ordered`` must be the distinct filtered paths in ascending
     lexicographic order (``sorted(filter_aggregate(...).items())``), each
@@ -163,31 +216,35 @@ def build_conditional_array(
     the flattened ``(ranks, parents, counts)`` arrays node for node, and
     the same sizing/placement cursor walk as
     :func:`~repro.core.conversion.splice_subtree` /
-    :func:`~repro.core.conversion.assemble` then yields a byte stream
-    identical to ``convert(tree)``. A path's count accrues to the
-    cumulative count of every node it passes through, which is the
-    postorder accumulation the tree walk performs (§3.5). Splicing the
-    whole preorder in one pass places nodes exactly as splicing it one
-    level-1 subtree at a time, in ascending leading rank, would.
+    :func:`~repro.core.conversion.assemble` then places every node where
+    ``convert(tree)`` would, so the item index is exact. A path's count
+    accrues to the cumulative count of every node it passes through,
+    which is the postorder accumulation the tree walk performs (§3.5).
+    Placing the whole preorder in one pass places nodes exactly as
+    splicing it one level-1 subtree at a time, in ascending leading
+    rank, would.
 
     The cursor walk here is :func:`~repro.core.conversion.splice_subtree`'s
     math on sparse per-rank state (dicts instead of dense ``n_ranks``-sized
     lists): a conditional's paths touch a handful of ranks, and the dense
     :class:`~repro.core.conversion.Layout` would spend more time allocating
-    and scanning empty ranks than encoding — only the ``starts`` table,
-    which the CFP-array format requires dense, is built full-width (via a
-    C-speed ``accumulate``).
+    and scanning empty ranks than sizing — only the ``starts`` table,
+    dense as a :class:`~repro.core.cfp_array.CfpArray`'s so the mine reads
+    a subarray's size the same way from either, is built full-width (via
+    a C-speed ``accumulate``).
 
-    The walk already holds every node's rank and parent, and each rank's
-    nodes and counts in storage order: exactly a
-    :class:`~repro.core.cfp_array.Projection` of every active rank. The
-    array carries it, so mining the conditional never decodes or
-    re-links the bytes encoded here.
+    Each node's prefix is the slice of the path that created it above
+    the node's depth, and storage order within a rank is preorder, so
+    the walk also yields every rank's prefix paths in storage order. The
+    result carries those paths and the sizes, and no bytes
+    (:class:`ConditionalArray`); ``convert`` of the reference tree is what
+    the identity suites hold it to.
     """
     # The trie in DFS preorder: per node id, its rank, its parent's id
-    # (-1 under the root) and its cumulative count.
+    # (-1 under the root), its prefix and its cumulative count.
     node_ranks: list[int] = []
     parents: list[int] = []
+    prefixes: list[tuple[int, ...]] = []
     counts: list[int] = []
     stack: list[int] = []  # node ids along the current path
     previous: tuple[int, ...] = ()
@@ -201,52 +258,34 @@ def build_conditional_array(
             parents.append(stack[-1] if stack else -1)
             stack.append(len(node_ranks))
             node_ranks.append(path[depth])
+            prefixes.append(path[:depth])
             counts.append(0)
         for node in stack:
             counts[node] += count
         previous = path
 
-    cursors: dict[int, int] = {}
-    sizes_gaps: list[int] = [0] * (n_ranks + 2)  # per-rank sizes, shifted +1
-    # Per rank, in storage order: node ids, counts and triples to encode.
-    members: dict[int, tuple[list[int], list[int], list[tuple[int, int, int]]]] = {}
+    cursors: dict[int, int] = {}  # per rank: bytes placed so far
+    paths: dict[int, list[tuple[tuple[int, ...], int]]] = {}
     locals_ = [0] * len(node_ranks)
     tsize = varint.triple_size
     for node, rank in enumerate(node_ranks):
         parent = parents[node]
-        local = cursors.get(rank, 0)
+        count = counts[node]
+        local = cursors.get(rank)
+        if local is None:
+            local = 0
+            paths[rank] = [(prefixes[node], count)]
+        else:
+            paths[rank].append((prefixes[node], count))
         locals_[node] = local
         if parent < 0:
-            delta_item = rank
-            dpos = 0
+            size = tsize(rank, 0, count)
         else:
-            delta_item = rank - node_ranks[parent]
-            dpos = local - locals_[parent]
-        count = counts[node]
-        size = tsize(delta_item, dpos, count)
+            size = tsize(rank - node_ranks[parent], local - locals_[parent], count)
         cursors[rank] = local + size
-        sizes_gaps[rank + 1] += size
-        member = members.get(rank)
-        if member is None:
-            member = members[rank] = ([], [], [])
-        member[0].append(node)
-        member[1].append(count)
-        member[2].append((delta_item, dpos, count))
-    starts = list(accumulate(sizes_gaps))
-    buffer = bytearray(starts[-1])
-    requested: dict[int, tuple[Sequence[int], Sequence[int]]] = {}
-    for rank, (nodes, rank_counts, triples) in members.items():
-        end = varint.encode_triples(buffer, starts[rank], triples)
-        if end != starts[rank + 1]:
-            raise ConversionError(
-                f"conditional subarray of rank {rank} filled "
-                f"{end - starts[rank]} of {starts[rank + 1] - starts[rank]} bytes"
-            )
-        requested[rank] = (nodes, rank_counts)
-    return CfpArray(
-        n_ranks,
-        buffer,
-        starts,
-        node_count=len(node_ranks),
-        projection=Projection(parents, node_ranks, requested),
+    sizes_gaps = [0] * (n_ranks + 2)  # per-rank sizes, shifted +1
+    for rank, size in cursors.items():
+        sizes_gaps[rank + 1] = size
+    return ConditionalArray(
+        n_ranks, list(accumulate(sizes_gaps)), len(node_ranks), paths
     )

@@ -18,6 +18,7 @@ from typing import Hashable
 
 from repro.core.cfp_array import CfpArray
 from repro.core.cfp_growth import _conditional_struct
+from repro.core.kernels import ConditionalArray
 from repro.errors import ExperimentError
 from repro.fptree.tree import FPTree
 from repro.util.items import TransactionDatabase, prepare_transactions
@@ -66,7 +67,7 @@ class _TopKCollector:
       could report different k-sets.
     """
 
-    def __init__(self, k: int, min_length: int, floor: int):
+    def __init__(self, k: int, min_length: int, floor: int) -> None:
         self.k = k
         self.min_length = min_length
         self.floor = floor
@@ -100,7 +101,9 @@ class _TopKCollector:
             self._members.discard(worst.ranks)
             self._members.add(key)
 
-    def emit_path_subsets(self, path, suffix) -> None:
+    def emit_path_subsets(
+        self, path: list[tuple[int, int]], suffix: tuple[int, ...]
+    ) -> None:
         # Enumerate subsets whose deepest element sets the support, but
         # stop expanding once supports fall below the threshold (counts
         # along a path are non-increasing).
@@ -188,32 +191,24 @@ def mine_top_k(
 
 
 def _mine_array(
-    array: CfpArray, collector: _TopKCollector, suffix: tuple[int, ...]
+    array: CfpArray | ConditionalArray,
+    collector: _TopKCollector,
+    suffix: tuple[int, ...],
 ) -> None:
     """The §2.1 mine loop against arrays, pruned by the rising threshold.
 
-    Below the top level every array is a kernel-built conditional, mined
-    from its builder's projection (:meth:`CfpArray.group_projection`).
-    The top level, the served array, stays on per-rank walks, so an
-    uncached store is not projected whole on every request.
+    The top level, the served array, is walked rank by rank, so an
+    uncached store is not projected whole on every request. Below it
+    every array is a kernel-built conditional, whose supports and prefix
+    paths its builder recorded.
     """
-    ranks = list(array.active_ranks_descending())
-    projection = array.group_projection(ranks) if suffix else None
-    for rank in ranks:
-        if projection is None:
-            support = array.rank_support(rank)
-        else:
-            support = projection.support(rank)
+    for rank in array.active_ranks_descending():
+        support = array.rank_support(rank)
         if support < collector.threshold:
             continue
         itemset = (rank,) + suffix
         collector.emit(itemset, support)
-        chain, cond_array = _conditional_struct(
-            array,
-            rank,
-            collector.threshold,
-            paths=None if projection is None else projection[rank],
-        )
+        chain, cond_array = _conditional_struct(array, rank, collector.threshold)
         if chain is not None:
             collector.emit_path_subsets(chain, itemset)
         elif cond_array is not None:

@@ -101,7 +101,6 @@ class PartitionedCfpArray(CfpArray):
         self._node_count = None
         self._cache = _SubarrayCache(cache_budget) if cache_budget > 0 else None
         self._path_memo = None
-        self._active_ranks = None
         # A v1/v2 file is one partition; its payload is covered by the
         # page-checksum trailer alone, so it carries no manifest CRC.
         self.partitions: tuple[PartitionInfo, ...] = header.partitions or (

@@ -5,9 +5,11 @@ The columnar mine path (:mod:`repro.core.kernels` driven by
 that is retained verbatim as ``cfp_growth._conditional_tree_reference``.
 The kernels' contract is that they change how fast the answer is
 computed, never the answer — so these suites hold them to the reference
-*bit for bit*: single-path verdicts must match the tree's
-``single_path()``, and branching conditionals must encode to the exact
-bytes ``convert(reference_tree)`` produces.
+exactly: single-path verdicts must match the tree's ``single_path()``,
+and a branching conditional, which is sized but never encoded, must
+have the item index, node count and size of ``convert(reference_tree)``,
+and rank for rank the prefix paths and support a sweep over those
+bytes resolves, in the same order.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.budget import mine_with_budget
 from repro.compress import varint
 from repro.core import kernels
 from repro.core.cfp_array import CfpArray
@@ -32,21 +33,45 @@ from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import TreeError
 from repro.fptree.growth import ListCollector, mine_ranks
-from repro.mining.topk import mine_top_k
 from repro.storage import DiskCfpArray, PartitionedCfpArray, save_cfp_array
-from repro.storage.pagefile import PAGE_SIZE
 from repro.util.items import prepare_transactions
 from tests.conftest import db_strategy, random_database
 
+#: Highest rank the aggregated-path strategies draw. Ranks past 127 and
+#: counts past 16,383 need 2- and 3-byte varints.
+N_RANKS = 300
+
 #: Strictly-ascending rank paths, the shape ``filter_aggregate`` emits.
 path_strategy = st.lists(
-    st.integers(min_value=1, max_value=12), min_size=1, max_size=6
+    st.integers(min_value=1, max_value=N_RANKS), min_size=1, max_size=6
 ).map(lambda ranks: tuple(sorted(set(ranks))))
 
+count_strategy = st.integers(min_value=1, max_value=20_000)
+
+#: Thirty or more paths into one rank, each under its own parent: that
+#: rank's subarray outgrows 64 bytes, so its later nodes' ``dpos`` needs
+#: two bytes.
+fan_strategy = st.tuples(
+    st.integers(min_value=200, max_value=N_RANKS),
+    st.dictionaries(
+        st.integers(min_value=1, max_value=199), count_strategy, min_size=30, max_size=40
+    ),
+).map(lambda fan: {(parent, fan[0]): count for parent, count in fan[1].items()})
+
 #: A conditional's worth of aggregated paths with their total counts.
-aggregated_strategy = st.dictionaries(
-    path_strategy, st.integers(min_value=1, max_value=50), min_size=1, max_size=12
-)
+aggregated_strategy = st.tuples(
+    st.dictionaries(path_strategy, count_strategy, min_size=1, max_size=12),
+    st.one_of(st.just({}), fan_strategy),
+).map(lambda parts: {**parts[1], **parts[0]})
+
+#: Two- and three-byte fields of every kind: a fan of 40 nodes into rank
+#: 290 (2-byte ``delta_item`` and positive ``dpos``), then a child of the
+#: fan's last node (``dpos`` of -221), and counts past 16,383.
+WIDE_FIELDS = {
+    **{(parent, 290): 16_000 + parent for parent in range(1, 121, 3)},
+    (118, 290, 295): 20_000,
+    (5, 7): 3,
+}
 
 
 def build_array(database, min_support):
@@ -56,29 +81,22 @@ def build_array(database, min_support):
     return convert(tree), n_ranks
 
 
-def assert_identical_arrays(got, want):
-    assert bytes(got.buffer) == bytes(want.buffer)
-    assert got.starts == want.starts
-    assert got.node_count == want.node_count
+def assert_conditional_matches(cond, want):
+    """A sized conditional is ``want``, ``convert`` of the reference tree.
 
-
-def assert_builder_projection(cond):
-    """A conditional carries its bytes' projection, and hands it out once.
-
-    Rank for rank, the builder's projection holds the paths a sweep over
-    the encoded bytes resolves, in the same order; a second
-    ``group_projection`` call projects the bytes.
+    The item index, node count and size are the encoded array's, and rank
+    for rank the conditional holds the prefix paths a sweep over
+    ``want``'s bytes resolves, in the same order, and the same support.
     """
-    active = list(cond.active_ranks_descending())
-    want = CfpArray(cond.n_ranks, cond.buffer, cond.starts).project(active)
-    carried = cond.group_projection(active)
-    assert sorted(carried) == sorted(active)
+    assert cond.starts == want.starts
+    assert cond.node_count == want.node_count
+    assert cond.memory_bytes == want.memory_bytes
+    active = list(want.active_ranks_descending())
+    assert cond.active_ranks_descending() == active
+    projection = want.project(active)
     for rank in active:
-        assert carried[rank] == want[rank]
-        assert carried.support(rank) == sum(count for __, count in want[rank])
-    again = cond.group_projection(active)
-    assert again is not carried
-    assert dict(again) == dict(want)
+        assert cond.prefix_paths(rank) == projection[rank]
+        assert cond.rank_support(rank) == want.rank_support(rank)
 
 
 def mine_reference(array, min_support):
@@ -112,14 +130,16 @@ def mine_reference(array, min_support):
 
 
 class TestConditionalStructIdentity:
-    """``_conditional_struct`` == ``_conditional_tree_reference``, bitwise."""
+    """``_conditional_struct`` == ``_conditional_tree_reference``, exactly."""
 
-    def check_array(self, array, min_support, depth=0):
-        for rank in array.active_ranks_descending():
-            if array.rank_support(rank) < min_support:
+    def check_array(self, array, min_support, depth=0, reference=None):
+        # ``reference`` is the encoded counterpart of a sized conditional.
+        reference = array if reference is None else reference
+        for rank in reference.active_ranks_descending():
+            if reference.rank_support(rank) < min_support:
                 continue
             chain, cond = _conditional_struct(array, rank, min_support)
-            ref_tree = _conditional_tree_reference(array, rank, min_support)
+            ref_tree = _conditional_tree_reference(reference, rank, min_support)
             if ref_tree is None:
                 assert chain is None and cond is None
                 continue
@@ -129,10 +149,10 @@ class TestConditionalStructIdentity:
                 assert chain == ref_chain
             else:
                 assert chain is None
-                assert_identical_arrays(cond, convert(ref_tree))
-                assert_builder_projection(cond)
+                want = convert(ref_tree)
+                assert_conditional_matches(cond, want)
                 if depth < 1:  # one recursion level: conditional conditionals
-                    self.check_array(cond, min_support, depth + 1)
+                    self.check_array(cond, min_support, depth + 1, want)
 
     @given(database=db_strategy, min_support=st.integers(min_value=1, max_value=3))
     @settings(max_examples=40, deadline=None)
@@ -177,7 +197,11 @@ class TestConditionalStructIdentity:
             assert chain == want_chain
             assert (cond is None) == (want_cond is None)
             if cond is not None:
-                assert_identical_arrays(cond, want_cond)
+                reference = convert(
+                    _conditional_tree_reference(array, rank, min_support)
+                )
+                assert_conditional_matches(cond, reference)
+                assert_conditional_matches(want_cond, reference)
 
     def test_dpos_landing_mid_node_raises(self, tmp_path):
         # Shift one node's dpos by one byte, keeping its encoded size, so
@@ -260,49 +284,6 @@ class TestMinedOutputIdentity:
         want = mine_ranks(list(transactions), len(table), min_support)
         assert sorted(got.itemsets) == sorted(want.itemsets)
 
-    @pytest.mark.parametrize("leg", ["mine", "spill", "topk"])
-    def test_mine_never_decodes_a_conditional(self, leg, tmp_path, monkeypatch):
-        # Every conditional is mined from the projection its builder
-        # carries, so only the top-level array or the paged reader is
-        # ever decoded.
-        built: list[CfpArray] = []
-        decoded: list[CfpArray] = []
-        build = kernels.build_conditional_array
-
-        def building(ordered, n_ranks):
-            cond = build(ordered, n_ranks)
-            built.append(cond)
-            return cond
-
-        def recording(columns):
-            def subarray_columns(self, rank):
-                decoded.append(self)
-                return columns(self, rank)
-
-            return subarray_columns
-
-        monkeypatch.setattr(kernels, "build_conditional_array", building)
-        for cls in (CfpArray, PartitionedCfpArray):
-            monkeypatch.setattr(
-                cls, "subarray_columns", recording(cls.subarray_columns)
-            )
-        if leg == "mine":
-            table, transactions = prepare_transactions(random_database(3), 2)
-            mine_rank_transactions(transactions, len(table), 2)
-        elif leg == "spill":
-            database = random_database(
-                23, n_transactions=2000, n_items=60, max_length=10
-            )
-            __, report = mine_with_budget(
-                database, 40, 2 * PAGE_SIZE, spill_dir=tmp_path
-            )
-            assert report.went_out_of_core
-        else:
-            array, __ = build_array(random_database(3), 1)
-            mine_top_k(array, 20)
-        assert built and decoded
-        assert not {id(cond) for cond in built} & {id(arr) for arr in decoded}
-
 
 class TestKernelUnits:
     """Each kernel against its naive per-node definition."""
@@ -340,20 +321,20 @@ class TestKernelUnits:
     @given(aggregated=aggregated_strategy)
     @settings(max_examples=60, deadline=None)
     def test_single_path_merge_matches_tree(self, aggregated):
-        tree = TernaryCfpTree(12)
+        tree = TernaryCfpTree(N_RANKS)
         for path, count in aggregated.items():
             tree.insert(list(path), count)
         assert kernels.single_path_merge(aggregated) == tree.single_path()
 
     @given(aggregated=aggregated_strategy)
+    @example(aggregated=WIDE_FIELDS)
     @settings(max_examples=60, deadline=None)
     def test_build_conditional_array_matches_convert(self, aggregated):
-        tree = TernaryCfpTree(12)
+        tree = TernaryCfpTree(N_RANKS)
         for path, count in aggregated.items():
             tree.insert(list(path), count)
-        got = kernels.build_conditional_array(sorted(aggregated.items()), 12)
-        assert_identical_arrays(got, convert(tree))
-        assert_builder_projection(got)
+        got = kernels.build_conditional_array(sorted(aggregated.items()), N_RANKS)
+        assert_conditional_matches(got, convert(tree))
 
     def test_backend_reports_a_known_kernel(self):
         assert kernels.backend() in {"python", "numpy"}

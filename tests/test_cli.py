@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.core.cfp_growth import DEFAULT_CACHE_BUDGET
 from repro.datasets.fimi import write_fimi
 
 
@@ -86,6 +87,14 @@ class TestConvert:
         binary = str(tmp_path / "data.bin")
         assert main(["convert", data_file, binary]) == 0
         assert os.path.getsize(binary) < os.path.getsize(data_file) + 20
+
+
+class TestServe:
+    def test_cache_budget_defaults_to_the_library_default(self):
+        # Stores opened from the CLI cache the same working set as
+        # ServingStore and FollowingStore do by default.
+        args = build_parser().parse_args(["serve", "store.cfpa"])
+        assert args.cache_budget == DEFAULT_CACHE_BUDGET
 
 
 class TestExperiment:
