@@ -68,6 +68,7 @@ TYPED_PACKAGES = (
     "repro/faultinject/",
     # Top-k's loop mines both CFP-arrays and sized conditionals.
     "repro/mining/topk.py",
+    "repro/serving/",
 )
 
 #: Verification modules whose loops must stay instrumentation-free (INV006).

@@ -526,7 +526,6 @@ def bench_serving(
     min_support: int,
     clients: int = SERVING_CLIENTS,
     requests_per_client: int = 8,
-    workers: int = 8,
     seed: int = 17,
 ) -> dict:
     """Serve-path leg: build a store, load-test it, compare support kernels.
@@ -551,7 +550,6 @@ def bench_serving(
                 clients=clients,
                 requests_per_client=requests_per_client,
                 seed=seed,
-                workers=workers,
             )
             entry = load.to_dict()
             entry["requests_per_client"] = requests_per_client

@@ -29,44 +29,6 @@ from repro.util.items import TransactionDatabase, prepare_transactions
 #: sensibly; the budget must at least cover them.
 MIN_POOL_PAGES = 2
 
-#: Conservative per-request working-set estimate for serving admission
-#: control: a support/top-k query bulk-decodes a handful of subarrays and
-#: holds their columns (plus response buffers) while it runs. Four pages
-#: of transient memory per in-flight request is deliberately generous —
-#: admission control exists to bound memory, not to maximize packing.
-DEFAULT_REQUEST_BYTES = 4 * PAGE_SIZE
-
-
-def admission_limit(
-    memory_budget: int,
-    resident_bytes: int,
-    per_request_bytes: int = DEFAULT_REQUEST_BYTES,
-) -> int:
-    """Concurrent requests a serving memory budget admits.
-
-    The same budget philosophy as :func:`mine_with_budget`, applied to the
-    query server: the budget first covers the long-lived resident
-    structures (buffer pool, item index, decoded-subarray cache), and
-    whatever remains divides into per-request working-set slots. The
-    result is the server's max in-flight request count; requests beyond it
-    are rejected with an ``overloaded`` error instead of silently growing
-    the process (see docs/serving.md).
-    """
-    if per_request_bytes < 1:
-        raise ExperimentError(
-            f"per_request_bytes must be >= 1, got {per_request_bytes}"
-        )
-    if resident_bytes < 0:
-        raise ExperimentError(f"resident_bytes must be >= 0, got {resident_bytes}")
-    headroom = memory_budget - resident_bytes
-    if headroom < per_request_bytes:
-        raise ExperimentError(
-            f"budget {memory_budget} leaves {max(0, headroom)} bytes after "
-            f"the {resident_bytes}-byte resident structures — not enough "
-            f"for one {per_request_bytes}-byte request slot"
-        )
-    return headroom // per_request_bytes
-
 
 def snapshot_plan(
     memory_budget: int | None, array_bytes: int

@@ -402,25 +402,19 @@ def _cmd_serve(args) -> int:
 
         from repro.serving.server import ReproServer
 
-        server = ReproServer(
-            store,
-            host=args.host,
-            port=args.port,
-            memory_budget=args.memory_budget or None,
-            workers=args.workers,
-        )
+        server = ReproServer(store, host=args.host, port=args.port)
         await server.start()
         # Signals set an event instead of raising KeyboardInterrupt, so
-        # the drain (finish in-flight requests, flush responses, publish
-        # pool counters) always runs to completion — a KeyboardInterrupt
-        # would cancel the main task and cut the drain short.
+        # the drain (close idle connections, flush started responses,
+        # publish pool counters) always runs to completion — a
+        # KeyboardInterrupt would cancel the main task and cut it short.
         stop_requested = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
             loop.add_signal_handler(signum, stop_requested.set)
         print(
             f"# serving {array_path} on {server.host}:{server.port} "
-            f"(max {server.max_inflight} in-flight; ctrl-c to drain)",
+            "(max 1 in-flight; ctrl-c to drain)",
             file=sys.stderr,
         )
         await stop_requested.wait()
@@ -710,14 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=7171)
     serve.add_argument(
-        "--memory-budget",
-        type=int,
-        default=0,
-        metavar="BYTES",
-        help="serving memory budget; sets the admission limit "
-        "(default: resident bytes + 64 request slots)",
-    )
-    serve.add_argument(
         "--pool-pages",
         type=int,
         default=256,
@@ -731,7 +717,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="decoded-subarray cache budget "
         f"(default {DEFAULT_CACHE_BUDGET >> 20} MiB)",
     )
-    serve.add_argument("--workers", type=int, default=8)
     serve.add_argument(
         "--trace",
         default="",

@@ -47,7 +47,7 @@ def is_trace_file(path: str | os.PathLike[str]) -> bool:
         record = json.loads(first)
     except json.JSONDecodeError:
         return False
-    return isinstance(record, dict) and record.get("type") == "meta"
+    return isinstance(record, dict) and bool(record.get("type") == "meta")
 
 
 def read_trace(path: str | os.PathLike[str]) -> Trace:
@@ -139,7 +139,8 @@ _PHASE_OF_SPAN = {
 
 
 def _phase_of(span: dict[str, Any]) -> str:
-    return _PHASE_OF_SPAN.get(span["name"], span["name"])
+    name: str = span["name"]
+    return _PHASE_OF_SPAN.get(name, name)
 
 
 def summarize_spans(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:

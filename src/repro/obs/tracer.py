@@ -175,11 +175,11 @@ class Tracer:
 
         ``started_perf`` is a ``time.perf_counter()`` reading taken when
         the work began. The span is recorded as a *root* (no parent) and
-        never touches the LIFO stack, so overlapping callers — the query
-        server's interleaved request handlers — cannot misnest the spans
-        of whatever phase-level work is running around them. Must be
-        called from the thread that owns the tracer (the server calls it
-        from its event loop, never from executor threads).
+        never touches the LIFO stack, so a caller that only knows a
+        request's bounds once it is answered — the query server — cannot
+        misnest the spans of whatever work runs around it. Must be called
+        from the thread that owns the tracer (the server calls it from its
+        event loop, which also runs every request).
         """
         span_id = self._next_id
         self._next_id += 1

@@ -55,7 +55,10 @@ def generate_rules(
     """Derive all rules meeting ``min_confidence`` from mined itemsets.
 
     ``itemsets`` must be downward-closed (the complete output of a miner),
-    since antecedent/consequent supports are looked up in it.
+    since antecedent/consequent supports are looked up in it. The output
+    order is total — confidence, support, then the antecedent and
+    consequent reprs — so it does not depend on the order the itemsets
+    arrive in.
     """
     if not 0.0 < min_confidence <= 1.0:
         raise ExperimentError(f"min_confidence must be in (0, 1], got {min_confidence}")
@@ -86,7 +89,7 @@ def generate_rules(
                     merged.add(candidate)
             consequents = list(merged)
             _emit(rules, supports, itemset, support, consequents, n_transactions)
-    rules.sort(key=lambda r: (-r.confidence, -r.support, repr(r.antecedent)))
+    rules.sort(key=_strength)
     return rules
 
 
@@ -113,14 +116,7 @@ def also_bought(
         if set(rule.antecedent) <= basket_set
         and not basket_set & set(rule.consequent)
     ]
-    triggered.sort(
-        key=lambda r: (
-            -r.confidence,
-            -r.support,
-            repr(r.antecedent),
-            repr(r.consequent),
-        )
-    )
+    triggered.sort(key=_strength)
     return triggered[:limit]
 
 
@@ -134,6 +130,16 @@ def mine_rules(
     itemsets = cfp_growth(database, min_support)
     return generate_rules(
         itemsets, len(database), min_confidence, max_consequent_size
+    )
+
+
+def _strength(rule: Rule) -> tuple[float, int, str, str]:
+    """Sort key, strongest rule first, with the reprs as the tie-break."""
+    return (
+        -rule.confidence,
+        -rule.support,
+        repr(rule.antecedent),
+        repr(rule.consequent),
     )
 
 

@@ -29,14 +29,16 @@ from __future__ import annotations
 import os
 import threading
 from contextlib import contextmanager
-from typing import Hashable, Iterable, Iterator
+from typing import Any, Hashable, Iterable, Iterator
 
 from repro import obs
 from repro.core.cfp_growth import DEFAULT_CACHE_BUDGET
 from repro.errors import ReproError
 from repro.rules import Rule
-from repro.serving.store import DEFAULT_POOL_PAGES, ServingStore
+from repro.serving.store import DEFAULT_POOL_PAGES, Pattern, ServingStore
+from repro.storage import PartitionedCfpArray
 from repro.streaming.snapshots import SnapshotError, SnapshotManager
+from repro.util.items import ItemTable
 
 #: Default manifest poll cadence for the follow thread.
 DEFAULT_POLL_INTERVAL_S = 1.0
@@ -71,7 +73,7 @@ class FollowingStore:
         verify: bool = True,
     ) -> None:
         self.manager = SnapshotManager(directory)
-        self._options = {
+        self._options: dict[str, Any] = {
             "pool_pages": pool_pages,
             "cache_budget": cache_budget,
             "hot_bytes": hot_bytes,
@@ -231,7 +233,7 @@ class FollowingStore:
             return self._store.path
 
     @property
-    def table(self):
+    def table(self) -> ItemTable:
         with self._lock:
             assert self._store is not None
             return self._store.table
@@ -243,7 +245,7 @@ class FollowingStore:
             return self._store.n_transactions
 
     @property
-    def array(self):
+    def array(self) -> PartitionedCfpArray:
         with self._lock:
             assert self._store is not None
             return self._store.array
@@ -258,9 +260,7 @@ class FollowingStore:
         with self._pinned() as store:
             return store.support(items)
 
-    def top_k(
-        self, k: int, min_length: int = 1
-    ) -> list[tuple[tuple[Hashable, ...], int]]:
+    def top_k(self, k: int, min_length: int = 1) -> list[Pattern]:
         with self._pinned() as store:
             return store.top_k(k, min_length=min_length)
 

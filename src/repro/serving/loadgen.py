@@ -1,10 +1,10 @@
 """Load generation for the query server: latency and throughput under
 concurrency, with answers verified against direct library calls.
 
-:func:`run_load` drives N concurrent NDJSON clients (all on one event
-loop — the server's concurrency comes from its executor threads hitting
-the shared buffer pool) against an in-process :class:`ReproServer`,
-using a seeded query mix over the store's own vocabulary, and returns a
+:func:`run_load` drives N concurrent NDJSON clients against an
+in-process :class:`ReproServer` on the same event loop (the server
+answers each request inline on that loop, one at a time), using a
+seeded query mix over the store's own vocabulary, and returns a
 :class:`LoadReport` with p50/p99 latency and throughput. Every response
 is compared to the answer the library gives directly
 (:meth:`ServingStore.support` / :meth:`~ServingStore.top_k` /
@@ -83,9 +83,9 @@ def _build_queries(
 
     Each query dict carries the request fields plus an ``expected``
     entry computed through the direct library calls — the parity oracle.
-    ``oracle`` memoizes the expensive oracle answers (top-k mines the
-    array; rules filter the full rule set) across clients, so building a
-    64-client workload does not redo the same direct call 64 times.
+    ``oracle`` memoizes the top-k and rules answers across clients, so
+    building a 64-client workload does not redo the same direct call 64
+    times.
     """
     mix = dict(mix or DEFAULT_MIX)
     rng = random.Random(seed)
@@ -111,7 +111,7 @@ def _build_queries(
             )
         elif op == "topk":
             k = rng.choice((5, 10, 20))
-            key = ("topk", k)
+            key: tuple[Any, ...] = ("topk", k)
             if key not in oracle:
                 oracle[key] = [
                     [list(itemset), support]
@@ -188,15 +188,14 @@ async def _run_load_async(
     requests_per_client: int,
     seed: int,
     mix: dict[str, float] | None,
-    workers: int,
 ) -> LoadReport:
-    server = ReproServer(store, workers=workers)
+    server = ReproServer(store)
     await server.start()
     latencies: list[float] = []
     counters: dict[str, int] = {"errors": 0, "mismatches": 0}
     try:
-        # The parity oracle warms the rules cache too, so the measured
-        # run exercises serving, not the one-off lazy rule mine.
+        # The parity oracle builds the store's pattern index too, so the
+        # measured run exercises serving, not the one-off index mine.
         oracle: dict[Any, Any] = {}
         per_client = [
             _build_queries(store, requests_per_client, seed + index, mix, oracle)
@@ -237,13 +236,12 @@ def run_load(
     requests_per_client: int = 8,
     seed: int = 17,
     mix: dict[str, float] | None = None,
-    workers: int = 8,
 ) -> LoadReport:
     """Run the load harness against an in-process server; see module doc."""
     if clients < 1 or requests_per_client < 1:
         raise ReproError("clients and requests_per_client must be >= 1")
     return asyncio.run(
-        _run_load_async(store, clients, requests_per_client, seed, mix, workers)
+        _run_load_async(store, clients, requests_per_client, seed, mix)
     )
 
 
@@ -277,7 +275,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--min-support", type=int, default=8)
     parser.add_argument("--clients", type=int, default=64)
     parser.add_argument("--requests", type=int, default=8, help="per client")
-    parser.add_argument("--workers", type=int, default=8)
     parser.add_argument("--seed", type=int, default=17)
     parser.add_argument(
         "--max-p99-ms",
@@ -311,7 +308,6 @@ def main(argv: list[str] | None = None) -> int:
                 clients=args.clients,
                 requests_per_client=args.requests,
                 seed=args.seed,
-                workers=args.workers,
             )
     if args.as_json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))

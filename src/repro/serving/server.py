@@ -13,31 +13,29 @@ Ops: ``ping``, ``support`` (``items``), ``topk`` (``k``, optional
 ``min_length``), ``rules`` (``basket``, optional ``limit`` /
 ``min_confidence``), and ``stats``. Failures answer
 ``{"ok": false, "error": {"code", "message"}}`` with codes
-``bad_request`` (malformed request or parameters), ``overloaded``
-(admission control), and ``internal``; the connection stays usable
-after any of them.
+``bad_request`` (malformed request or parameters) and ``internal``; the
+connection stays usable after either.
 
-Three server-side concerns, each tied to an existing subsystem:
+Every request is answered inline on the event loop, one at a time: a
+support query is one columnar walk, and top-k and rules read the
+store's pattern index, which the first of them mines once. Handing such
+short calls to a thread pool cost more than the calls themselves. Each
+connection has at most one request in flight (responses go out in
+request order), request lines are capped at :data:`MAX_LINE_BYTES`, and
+TCP backpressure paces a client that stops reading, so nothing queues
+without bound.
 
-* **Admission control** (:func:`repro.budget.admission_limit`): the
-  maximum number of in-flight requests is derived from a memory budget
-  minus the store's resident bytes, in per-request working-set slots.
-  Requests beyond the limit are rejected immediately with
-  ``overloaded`` instead of queueing unboundedly.
+Two more server-side concerns, each tied to an existing subsystem:
+
 * **Observability** (:mod:`repro.obs`): per-op latency histograms
   (``serving.latency_ms.support`` and siblings), request/error/
-  rejection/connection counters, and one ``serve_request`` span per
-  request when a tracer is installed (recorded out-of-band via
-  :meth:`repro.obs.Tracer.complete_span`, so interleaved requests
-  cannot misnest phase spans).
-* **Graceful drain** (:meth:`ReproServer.stop`): stop accepting, let
-  in-flight requests finish and their responses flush, close idle
-  connections, shut the executor down, and publish the pool's final
-  counters.
-
-Query work runs on a thread pool (``run_in_executor``) — the point of
-the buffer-pool and subarray-cache locks is that these threads may hit
-the same shared array concurrently.
+  connection counters, and one ``serve_request`` span per request when
+  a tracer is installed (recorded via
+  :meth:`repro.obs.Tracer.complete_span`, so the span needs no open
+  span stack).
+* **Graceful drain** (:meth:`ReproServer.stop`): stop accepting, close
+  idle connections, let responses already being written flush, and
+  publish the pool's final counters.
 """
 
 from __future__ import annotations
@@ -45,24 +43,20 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
-from repro.budget import DEFAULT_REQUEST_BYTES, admission_limit
 from repro.errors import DatasetError, ExperimentError, ReproError, TreeError
 from repro.obs import metrics as _metrics
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import get_tracer
 from repro.serving.store import ServingStore
 
+if TYPE_CHECKING:  # follow imports streaming, which imports this package
+    from repro.serving.follow import FollowingStore
+
 #: Longest accepted request line; longer lines poison the stream and
 #: close the connection with a ``bad_request`` response.
 MAX_LINE_BYTES = 1 << 16
-
-#: Default admission limit when no memory budget is given: the server
-#: budgets for this many concurrent request slots on top of the store's
-#: resident bytes.
-DEFAULT_MAX_INFLIGHT = 64
 
 #: Largest ``k`` a topk request may ask for, and the largest rule-query
 #: ``limit`` — both bound per-request response size.
@@ -76,16 +70,6 @@ _CLIENT_ERRORS = (TreeError, ExperimentError, DatasetError)
 
 class _BadRequest(ReproError):
     """A request failed validation before reaching the query layer."""
-
-
-class _Connection:
-    """Per-connection state: the writer plus an in-flight marker."""
-
-    __slots__ = ("writer", "busy")
-
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.busy = False
 
 
 def _scalar_list(value: Any, what: str) -> list[Hashable]:
@@ -104,7 +88,7 @@ def _scalar_list(value: Any, what: str) -> list[Hashable]:
 
 
 def _int_param(
-    request: dict, key: str, default: int | None, low: int, high: int
+    request: dict[str, Any], key: str, default: int | None, low: int, high: int
 ) -> int:
     value = request.get(key, default)
     if value is None:
@@ -117,46 +101,32 @@ def _int_param(
 
 
 class ReproServer:
-    """Concurrent query server over one shared serving store.
+    """Query server over one shared serving store.
 
     Lifecycle: ``await start()`` binds (``port=0`` picks a free port,
     published back on ``self.port``), ``await serve_forever()`` blocks
     for CLI use, ``await stop()`` drains gracefully. All three run on
-    one event loop; query work is offloaded to ``workers`` threads.
+    one event loop, and so does every request.
     """
 
     def __init__(
         self,
-        store: ServingStore,
+        store: ServingStore | FollowingStore,
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        memory_budget: int | None = None,
-        per_request_bytes: int = DEFAULT_REQUEST_BYTES,
-        workers: int = 8,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.store = store
         self.host = host
         self.port = port
-        if memory_budget is None:
-            memory_budget = (
-                store.resident_bytes + DEFAULT_MAX_INFLIGHT * per_request_bytes
-            )
-        self.memory_budget = memory_budget
-        self.max_inflight = admission_limit(
-            memory_budget, store.resident_bytes, per_request_bytes
-        )
-        self.workers = workers
         self._registry = registry if registry is not None else _metrics
-        self._inflight = 0
         self._draining = False
         self._stopped = False
         self._server: asyncio.AbstractServer | None = None
-        self._executor: ThreadPoolExecutor | None = None
-        self._connections: set[_Connection] = set()
-        self._client_tasks: set[asyncio.Task] = set()
-        self._ops: dict[str, Callable[[dict], Any]] = {
+        self._connections: set[asyncio.StreamWriter] = set()
+        self._client_tasks: set[asyncio.Task[None]] = set()
+        self._ops: dict[str, Callable[[dict[str, Any]], Any]] = {
             "support": self._op_support,
             "topk": self._op_topk,
             "rules": self._op_rules,
@@ -166,9 +136,6 @@ class ReproServer:
 
     async def start(self) -> None:
         """Bind and start accepting connections."""
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-serve"
-        )
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
         )
@@ -183,7 +150,7 @@ class ReproServer:
             pass
 
     async def stop(self) -> None:
-        """Graceful drain: finish in-flight work, then shut everything.
+        """Graceful drain: flush started responses, then shut everything.
 
         Idempotent — a second call returns immediately, so a test (or the
         CLI's signal path) may stop a server its helper also stops.
@@ -194,18 +161,18 @@ class ReproServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        # Idle connections are parked in readline() with no request in
-        # flight; closing their transports unblocks them with EOF. Busy
-        # connections finish their request, flush the response, then see
-        # the drain flag and exit their loop.
-        for connection in list(self._connections):
-            if not connection.busy:
-                connection.writer.close()
+        # Requests run inline, so no connection is mid-request here: each
+        # is parked in readline(), or in drain() flushing a response. A
+        # transport flushes what it has buffered before it closes, so the
+        # first kind sees EOF and the second delivers its response whole.
+        for writer in list(self._connections):
+            writer.close()
         if self._client_tasks:
             await asyncio.gather(*list(self._client_tasks), return_exceptions=True)
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
+        # Since Python 3.12 this also waits for every connection to close,
+        # so it comes after the connections are closed, not before.
+        if self._server is not None:
+            await self._server.wait_closed()
         self.store.array.pool.publish_metrics(self._registry)
 
     # -- connection handling --------------------------------------------
@@ -215,8 +182,7 @@ class ReproServer:
     ) -> None:
         registry = self._registry
         registry.add("serving.connections")
-        connection = _Connection(writer)
-        self._connections.add(connection)
+        self._connections.add(writer)
         task = asyncio.current_task()
         if task is not None:
             self._client_tasks.add(task)
@@ -241,7 +207,7 @@ class ReproServer:
                     break
                 if not line:
                     break
-                response = await self._handle_line(connection, line)
+                response = self._handle_line(line)
                 try:
                     await self._send(writer, response)
                 except (ConnectionResetError, OSError):
@@ -249,20 +215,22 @@ class ReproServer:
         finally:
             if task is not None:
                 self._client_tasks.discard(task)
-            self._connections.discard(connection)
+            self._connections.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, OSError):  # pragma: no cover
                 pass
 
-    async def _send(self, writer: asyncio.StreamWriter, response: dict) -> None:
+    async def _send(
+        self, writer: asyncio.StreamWriter, response: dict[str, Any]
+    ) -> None:
         writer.write(json.dumps(response, ensure_ascii=True).encode("ascii") + b"\n")
         await writer.drain()
 
     # -- request handling -----------------------------------------------
 
-    async def _handle_line(self, connection: _Connection, line: bytes) -> dict:
+    def _handle_line(self, line: bytes) -> dict[str, Any]:
         started = time.perf_counter()
         registry = self._registry
         registry.add("serving.requests")
@@ -275,7 +243,7 @@ class ReproServer:
             return _error_response(None, "bad_request", f"not JSON: {exc}")
         if isinstance(request, dict):
             request_id = request.get("id")
-        response: dict
+        response: dict[str, Any]
         try:
             if not isinstance(request, dict):
                 raise _BadRequest("request must be a JSON object")
@@ -296,9 +264,7 @@ class ReproServer:
                 handler = self._ops.get(op)
                 if handler is None:
                     raise _BadRequest(f"unknown op {raw_op!r}")
-                response = await self._dispatch(
-                    connection, handler, request, request_id
-                )
+                response = _ok_response(request_id, handler(request))
         except _BadRequest as exc:
             registry.add("serving.errors")
             response = _error_response(request_id, "bad_request", str(exc))
@@ -311,11 +277,10 @@ class ReproServer:
                 request_id, "internal", f"{type(exc).__name__}: {exc}"
             )
         elapsed_ms = (time.perf_counter() - started) * 1000.0
-        if response.get("error", {}).get("code") != "overloaded":
-            registry.observe(f"serving.latency_ms.{op}", elapsed_ms)
+        registry.observe(f"serving.latency_ms.{op}", elapsed_ms)
         tracer = get_tracer()
         if tracer is not None:
-            attrs = {"op": op, "ok": bool(response["ok"])}
+            attrs: dict[str, Any] = {"op": op, "ok": bool(response["ok"])}
             # A following store flips between snapshot generations under
             # live traffic; stamping the generation on every request span
             # makes a flip visible as a step in the trace.
@@ -325,39 +290,13 @@ class ReproServer:
             tracer.complete_span("serve_request", started, attrs)
         return response
 
-    async def _dispatch(
-        self,
-        connection: _Connection,
-        handler: Callable[[dict], Any],
-        request: dict,
-        request_id: Any,
-    ) -> dict:
-        registry = self._registry
-        if self._inflight >= self.max_inflight:
-            registry.add("serving.rejected")
-            return _error_response(
-                request_id,
-                "overloaded",
-                f"server at its admission limit of {self.max_inflight} "
-                "in-flight requests; retry later",
-            )
-        loop = asyncio.get_running_loop()
-        self._inflight += 1
-        connection.busy = True
-        try:
-            result = await loop.run_in_executor(self._executor, handler, request)
-        finally:
-            self._inflight -= 1
-            connection.busy = False
-        return _ok_response(request_id, result)
+    # -- op handlers ----------------------------------------------------
 
-    # -- op handlers (run on executor threads) --------------------------
-
-    def _op_support(self, request: dict) -> int:
+    def _op_support(self, request: dict[str, Any]) -> int:
         items = _scalar_list(request.get("items"), "items")
         return self.store.support(items)
 
-    def _op_topk(self, request: dict) -> list[list[Any]]:
+    def _op_topk(self, request: dict[str, Any]) -> list[list[Any]]:
         k = _int_param(request, "k", None, 1, MAX_TOPK)
         min_length = _int_param(request, "min_length", 1, 1, 64)
         return [
@@ -365,7 +304,7 @@ class ReproServer:
             for itemset, support in self.store.top_k(k, min_length=min_length)
         ]
 
-    def _op_rules(self, request: dict) -> list[dict[str, Any]]:
+    def _op_rules(self, request: dict[str, Any]) -> list[dict[str, Any]]:
         basket = _scalar_list(request.get("basket"), "basket")
         limit = _int_param(request, "limit", 10, 1, MAX_RULE_LIMIT)
         min_confidence = request.get("min_confidence", 0.5)
@@ -388,7 +327,7 @@ class ReproServer:
         ]
 
     def _stats(self) -> dict[str, Any]:
-        """Cheap introspection op, answered inline on the event loop."""
+        """Cheap introspection op."""
         pool_stats = self.store.array.pool.stats
         registry = self._registry
         generation = getattr(self.store, "generation", None)
@@ -396,11 +335,8 @@ class ReproServer:
             "generation": generation
         }
         return stats | {
-            "inflight": self._inflight,
-            "max_inflight": self.max_inflight,
             "draining": self._draining,
             "resident_bytes": self.store.resident_bytes,
-            "memory_budget": self.memory_budget,
             "pool": {
                 "hits": pool_stats.hits,
                 "faults": pool_stats.faults,
@@ -408,18 +344,17 @@ class ReproServer:
             },
             "requests": registry.get("serving.requests"),
             "errors": registry.get("serving.errors"),
-            "rejected": registry.get("serving.rejected"),
         }
 
 
-def _ok_response(request_id: Any, result: Any) -> dict:
+def _ok_response(request_id: Any, result: Any) -> dict[str, Any]:
     response: dict[str, Any] = {"ok": True, "result": result}
     if request_id is not None:
         response["id"] = request_id
     return response
 
 
-def _error_response(request_id: Any, code: str, message: str) -> dict:
+def _error_response(request_id: Any, code: str, message: str) -> dict[str, Any]:
     response: dict[str, Any] = {
         "ok": False,
         "error": {"code": code, "message": message},
@@ -430,7 +365,6 @@ def _error_response(request_id: Any, code: str, message: str) -> dict:
 
 
 __all__ = [
-    "DEFAULT_MAX_INFLIGHT",
     "MAX_LINE_BYTES",
     "MAX_RULE_LIMIT",
     "MAX_TOPK",

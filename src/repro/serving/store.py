@@ -13,6 +13,13 @@ and partitioned (v3) stores alike — and exposes the three query
 families the server serves: itemset support, top-k, and "also bought"
 rule recommendations.
 
+Support walks the array per query. Top-k and rules read a pattern
+index instead: the store mines its array once, at its own
+``min_support``, on the first top-k or rules query, and keeps every
+frequent itemset ordered by (support descending, rank tuple
+ascending). Top-k is a filtered prefix of that index and rules are
+derived from it, so no query mines after the first.
+
 The sidecar stores the table's :meth:`repro.util.items.ItemTable.fingerprint`
 and the load path re-verifies it, so an item vocabulary that did not
 survive the JSON round trip (mixed item types whose rank sort changed)
@@ -24,14 +31,15 @@ from __future__ import annotations
 import json
 import os
 import threading
-from typing import Hashable, Iterable
+from collections import OrderedDict
+from itertools import islice
+from typing import Any, Hashable, Iterable
 
 from repro.core.cfp_growth import DEFAULT_CACHE_BUDGET, mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
-from repro.errors import ReproError
+from repro.errors import ExperimentError, ReproError
 from repro.fptree.growth import ListCollector
-from repro.mining.topk import mine_top_k
 from repro.rules import Rule, also_bought, generate_rules
 from repro.storage import (
     PartitionedCfpArray,
@@ -48,6 +56,14 @@ SIDECAR_SUFFIX = ".items.json"
 #: default because a server's working set is the whole array, not one
 #: conditional chain.
 DEFAULT_POOL_PAGES = 256
+
+#: Rule lists a store keeps, one per ``(min_confidence,
+#: max_consequent_size)``; the least recently used goes first. Any client
+#: may send a new confidence, so the cache must not grow with them.
+RULES_CACHE_KEYS = 8
+
+#: One pattern-index entry: an itemset in item vocabulary and its support.
+Pattern = tuple[tuple[Hashable, ...], int]
 
 
 class StoreError(ReproError):
@@ -120,11 +136,12 @@ class ServingStore:
     """Read-only query facade over one persisted CFP-array.
 
     All query methods are thread-safe — the underlying pool and decoded-
-    subarray cache carry their own locks — so the server may call them
-    from executor threads concurrently. Rule generation is lazy: the
-    first rules query mines the full itemset collection once (under a
-    lock, so concurrent first queries do not mine twice) and caches the
-    derived rule list per confidence threshold.
+    subarray cache carry their own locks, and one index lock guards the
+    pattern index and the rules cache. The index is built lazily: the
+    first top-k or rules query mines the array once (under the lock, so
+    concurrent first queries do not mine twice), and every later one
+    reads it. Rule lists are derived from the index and cached for the
+    :data:`RULES_CACHE_KEYS` most recently used parameter pairs.
     """
 
     def __init__(
@@ -140,9 +157,8 @@ class ServingStore:
         sidecar = sidecar_path(array_path)
         meta = self._read_sidecar(sidecar)
         # The sidecar is parsed into the resident ItemTable, so its size
-        # is long-lived memory the admission controller must see — a store
-        # with a huge vocabulary is not "free" just because the array
-        # pages through the pool.
+        # is long-lived memory — a store with a huge vocabulary is not
+        # "free" just because the array pages through the pool.
         self._sidecar_bytes = os.path.getsize(sidecar)
         try:
             supports = {item: support for item, support in meta["items"]}
@@ -156,7 +172,7 @@ class ServingStore:
                 f"{sidecar}: item table does not round-trip "
                 "(fingerprint mismatch); the store must be rebuilt"
             )
-        self.n_transactions = meta["n_transactions"]
+        self.n_transactions: int = meta["n_transactions"]
         self.array = PartitionedCfpArray(
             array_path,
             pool_pages,
@@ -164,14 +180,17 @@ class ServingStore:
             hot_bytes=hot_bytes,
             verify=verify,
         )
-        self._rules_lock = threading.Lock()
-        self._rules_cache: dict[tuple[float, int | None], list[Rule]] = {}
+        self._index_lock = threading.Lock()
+        self._index: list[Pattern] | None = None
+        self._rules_cache: OrderedDict[tuple[float, int | None], list[Rule]] = (
+            OrderedDict()
+        )
 
     @staticmethod
-    def _read_sidecar(path: str) -> dict:
+    def _read_sidecar(path: str) -> dict[str, Any]:
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                meta = json.load(handle)
+                meta: dict[str, Any] = json.load(handle)
         except FileNotFoundError:
             raise StoreError(
                 f"{path}: item sidecar not found (not a serving store; "
@@ -195,38 +214,69 @@ class ServingStore:
         """Absolute support of an itemset (0 for unknown items)."""
         return itemset_support(self.array, self.table, items)
 
-    def top_k(
-        self, k: int, min_length: int = 1
-    ) -> list[tuple[tuple[Hashable, ...], int]]:
-        """The k best itemsets, translated to item vocabulary."""
-        return [
-            (self.table.ranks_to_items(ranks), support)
-            for ranks, support in mine_top_k(self.array, k, min_length=min_length)
-        ]
+    def _patterns(self) -> list[Pattern]:
+        """The pattern index: every itemset reaching ``min_support``.
+
+        Ordered by (support descending, rank tuple ascending), the order
+        :func:`repro.mining.topk.mine_top_k` ranks by. Mined on the first
+        call; later calls return the same list.
+        """
+        with self._index_lock:
+            if self._index is None:
+                collector = ListCollector()
+                mine_array(self.array, self.table.min_support, collector)
+                ranked = sorted(
+                    (
+                        (tuple(sorted(ranks)), support)
+                        for ranks, support in collector.itemsets
+                    ),
+                    key=lambda entry: (-entry[1], entry[0]),
+                )
+                self._index = [
+                    (self.table.ranks_to_items(ranks), support)
+                    for ranks, support in ranked
+                ]
+            return self._index
+
+    def top_k(self, k: int, min_length: int = 1) -> list[Pattern]:
+        """The k best itemsets of at least ``min_length`` items.
+
+        A prefix of the pattern index: equal to
+        :func:`repro.mining.topk.mine_top_k` whenever at least k such
+        itemsets reach the store's ``min_support``, and shorter
+        otherwise.
+        """
+        if k < 1:
+            raise ExperimentError(f"k must be >= 1, got {k}")
+        if min_length < 1:
+            raise ExperimentError(f"min_length must be >= 1, got {min_length}")
+        long_enough = (
+            entry for entry in self._patterns() if len(entry[0]) >= min_length
+        )
+        return list(islice(long_enough, k))
 
     def rules(
         self,
         min_confidence: float = 0.5,
         max_consequent_size: int | None = None,
     ) -> list[Rule]:
-        """The full rule set at a confidence threshold (mined lazily)."""
+        """The full rule set at a confidence threshold, from the index."""
         key = (float(min_confidence), max_consequent_size)
-        with self._rules_lock:
+        patterns = self._patterns()
+        with self._index_lock:
             cached = self._rules_cache.get(key)
             if cached is None:
-                collector = ListCollector()
-                mine_array(self.array, self.table.min_support, collector)
-                itemsets = [
-                    (self.table.ranks_to_items(ranks), support)
-                    for ranks, support in collector.itemsets
-                ]
                 cached = generate_rules(
-                    itemsets,
+                    patterns,
                     self.n_transactions,
                     min_confidence,
                     max_consequent_size,
                 )
                 self._rules_cache[key] = cached
+                if len(self._rules_cache) > RULES_CACHE_KEYS:
+                    self._rules_cache.popitem(last=False)
+            else:
+                self._rules_cache.move_to_end(key)
         return cached
 
     def also_bought(
@@ -242,7 +292,7 @@ class ServingStore:
 
     @property
     def resident_bytes(self) -> int:
-        """Long-lived memory the store holds (admission-control input).
+        """Long-lived memory the store holds.
 
         Covers the array reader (pool + item index + cache budget + any
         pinned hot set) *and* the item-table sidecar, whose parsed
@@ -268,6 +318,8 @@ class ServingStore:
 
 __all__ = [
     "DEFAULT_POOL_PAGES",
+    "Pattern",
+    "RULES_CACHE_KEYS",
     "SIDECAR_SUFFIX",
     "ServingStore",
     "StoreError",

@@ -1,5 +1,6 @@
-"""End-to-end server suite: protocol parity with direct calls, admission
-control, graceful drain, fault-injection transparency, observability.
+"""End-to-end server suite: protocol parity with direct calls, inline
+answering on the event loop, graceful drain, fault-injection
+transparency, observability.
 
 No pytest-asyncio in the image: every test drives its own event loop
 through ``asyncio.run`` on a small async body.
@@ -9,12 +10,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
 import threading
 
 import pytest
 
 from repro import faultinject, obs
-from repro.budget import DEFAULT_REQUEST_BYTES
 from repro.obs.registry import MetricsRegistry
 from repro.serving.loadgen import run_load
 from repro.serving.server import MAX_LINE_BYTES, ReproServer
@@ -199,7 +200,16 @@ class TestProtocolParity:
                 assert response == {"id": "abc", "ok": True, "result": "pong"}
                 response = await _rpc(reader, writer, {"op": "stats"})
                 assert response["ok"] is True
-                assert response["result"]["max_inflight"] == server.max_inflight
+                stats = response["result"]
+                assert set(stats) == {
+                    "draining",
+                    "resident_bytes",
+                    "pool",
+                    "requests",
+                    "errors",
+                }
+                assert stats["resident_bytes"] == store.resident_bytes
+                assert stats["requests"] == 2 and stats["errors"] == 0
                 writer.close()
             finally:
                 await server.stop()
@@ -207,94 +217,120 @@ class TestProtocolParity:
         asyncio.run(body())
 
 
-class TestAdmissionControl:
-    def test_overload_rejected_then_recovers(self, store):
-        gate = threading.Event()
-        direct = store.support
-        store.support = lambda items: (gate.wait(5), direct(items))[1]
-        # Budget for exactly one request slot -> max_inflight == 1.
-        budget = store.resident_bytes + DEFAULT_REQUEST_BYTES
+class TestInlineAnswers:
+    def test_every_op_runs_on_the_event_loop_thread(self, store):
+        threads: dict[str, set[int]] = {}
 
-        async def body() -> None:
-            registry = MetricsRegistry()
-            server = await _started(store, memory_budget=budget, registry=registry)
-            assert server.max_inflight == 1
-            try:
-                r1, w1 = await asyncio.open_connection(server.host, server.port)
-                r2, w2 = await asyncio.open_connection(server.host, server.port)
-                try:
-                    first = asyncio.ensure_future(
-                        _rpc(r1, w1, {"id": 1, "op": "support", "items": [1]})
-                    )
-                    for _ in range(100):  # wait until the slot is taken
-                        await asyncio.sleep(0.01)
-                        if server._inflight >= 1:
-                            break
-                    rejected = await _rpc(
-                        r2, w2, {"id": 2, "op": "support", "items": [2]}
-                    )
-                    assert rejected["ok"] is False
-                    assert rejected["error"]["code"] == "overloaded"
-                    assert registry.get("serving.rejected") == 1
-                    gate.set()
-                    accepted = await first
-                    assert accepted["ok"] and accepted["result"] == direct([1])
-                    # The slot freed: the same connection is admitted now.
-                    retry = await _rpc(
-                        r2, w2, {"id": 3, "op": "support", "items": [2]}
-                    )
-                    assert retry["ok"] and retry["result"] == direct([2])
-                finally:
-                    w1.close()
-                    w2.close()
-            finally:
-                gate.set()
-                await server.stop()
+        def recording(name, call):
+            def wrapper(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.get_ident())
+                return call(*args, **kwargs)
 
-        asyncio.run(body())
+            return wrapper
 
+        for name in ("support", "top_k", "also_bought"):
+            setattr(store, name, recording(name, getattr(store, name)))
+        requests = [
+            {"op": "support", "items": [1, 2]},
+            {"op": "topk", "k": 3},
+            {"op": "rules", "basket": [1]},
+        ]
 
-class TestGracefulDrain:
-    def test_inflight_request_finishes_during_stop(self, store):
-        gate = threading.Event()
-        direct = store.support
-        store.support = lambda items: (gate.wait(5), direct(items))[1]
-
-        async def body() -> None:
+        async def body() -> int:
+            loop_thread = threading.get_ident()
             server = await _started(store, registry=MetricsRegistry())
             try:
                 reader, writer = await asyncio.open_connection(
                     server.host, server.port
                 )
+                for request in requests:
+                    response = await _rpc(reader, writer, request)
+                    assert response["ok"] is True, response
+                writer.close()
+            finally:
+                await server.stop()
+            return loop_thread
+
+        loop_thread = asyncio.run(body())
+        assert threads == {
+            "support": {loop_thread},
+            "top_k": {loop_thread},
+            "also_bought": {loop_thread},
+        }
+
+
+class TestGracefulDrain:
+    def test_inflight_request_finishes_during_stop(self, tmp_path):
+        # Requests run inline, so stop() can only ever find a response
+        # being flushed, never a handler running. A topk answer far larger
+        # than the socket buffers, to a client that does not read yet,
+        # keeps its flush going while stop() runs.
+        path = tmp_path / "wide.cfpa"
+        build_store([list(range(14))] * 3, 2, path)
+        with ServingStore(path) as store:
+            expected = [[list(items), s] for items, s in store.top_k(10_000)]
+            registry = MetricsRegistry()
+
+            def unsent_bytes(server: ReproServer) -> int:
+                return sum(
+                    writer.transport.get_write_buffer_size()
+                    for writer in server._connections
+                )
+
+            async def body() -> None:
+                server = await _started(store, registry=registry)
+                client = socket.socket()
+                client.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                client.setblocking(False)
+                loop = asyncio.get_running_loop()
+                await loop.sock_connect(client, (server.host, server.port))
+                reader, writer = await asyncio.open_connection(
+                    sock=client, limit=4096
+                )
                 idle_reader, idle_writer = await asyncio.open_connection(
                     server.host, server.port
                 )
-                pending = asyncio.ensure_future(
-                    _rpc(reader, writer, {"id": 1, "op": "support", "items": [3, 4]})
-                )
-                for _ in range(100):
-                    await asyncio.sleep(0.01)
-                    if server._inflight >= 1:
-                        break
-                stopping = asyncio.ensure_future(server.stop())
-                await asyncio.sleep(0.05)
-                assert not stopping.done()  # drain waits on the in-flight op
-                gate.set()
-                response = await pending
-                assert response["ok"] and response["result"] == direct([3, 4])
-                await stopping
-                # The idle connection was closed by the drain ...
-                assert await idle_reader.read() == b""
-                # ... and new connections are refused.
-                with pytest.raises(OSError):
-                    await asyncio.open_connection(server.host, server.port)
-                writer.close()
-                idle_writer.close()
-            finally:
-                gate.set()
-                await server.stop()
+                try:
+                    for _ in range(500):
+                        if len(server._connections) == 2:
+                            break
+                        await asyncio.sleep(0.01)
+                    for server_writer in server._connections:
+                        server_writer.get_extra_info("socket").setsockopt(
+                            socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+                        )
+                    writer.write(b'{"id": 1, "op": "topk", "k": 10000}\n')
+                    await writer.drain()
+                    for _ in range(500):
+                        if unsent_bytes(server) > 0:
+                            break
+                        await asyncio.sleep(0.01)
+                    assert unsent_bytes(server) > 0
+                    stopping = asyncio.ensure_future(server.stop())
+                    # The idle connection is closed by the drain ...
+                    assert await asyncio.wait_for(idle_reader.read(), 10) == b""
+                    # ... which waits on the response still being written.
+                    assert not stopping.done()
+                    # The response arrives whole, then the server hangs up.
+                    payload = await asyncio.wait_for(reader.read(), 10)
+                    assert payload.endswith(b"\n") and payload.count(b"\n") == 1
+                    response = json.loads(payload)
+                    assert response == {"id": 1, "ok": True, "result": expected}
+                    await asyncio.wait_for(stopping, 10)
+                    # New connections are refused.
+                    with pytest.raises(OSError):
+                        await asyncio.open_connection(server.host, server.port)
+                finally:
+                    # Closing the clients first unblocks a failed drain.
+                    writer.close()
+                    idle_writer.close()
+                    await asyncio.wait_for(server.stop(), 10)
 
-        asyncio.run(body())
+            asyncio.run(body())
+            # The pool counters were published once, by the drain.
+            stats = store.array.pool.stats
+            assert registry.get("bufferpool.faults") == stats.faults
+            assert registry.get("bufferpool.hits") == stats.hits
 
     def test_drain_then_close_publishes_pool_counters_once(self, store):
         # ReproServer.stop() publishes the pool into the process registry,

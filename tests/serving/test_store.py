@@ -5,14 +5,17 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.bruteforce import brute_force
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
 from repro.mining.topk import mine_top_k
-from repro.rules import mine_rules
+from repro.rules import also_bought, generate_rules, mine_rules
+from repro.serving import store as store_module
 from repro.serving.store import (
+    RULES_CACHE_KEYS,
     ServingStore,
     StoreError,
     build_store,
@@ -84,8 +87,8 @@ class TestResidentBytes:
         assert sidecar_bytes > 0
         with ServingStore(store_path) as store:
             # Regression: resident_bytes used to report only the array
-            # reader, undercounting the admission-control input by the
-            # whole parsed vocabulary.
+            # reader, undercounting the store's footprint by the whole
+            # parsed vocabulary.
             assert (
                 store.resident_bytes
                 == store.array.memory_bytes + sidecar_bytes
@@ -149,17 +152,41 @@ class TestPartitionedStore:
             )
 
 
+def _direct(database, min_support):
+    table, transactions = prepare_transactions(database, min_support)
+    tree = TernaryCfpTree.from_rank_transactions(transactions, len(table))
+    return table, convert(tree)
+
+
+def _ranking(database, min_support, min_length=1):
+    """Itemsets of ``min_length`` or more items reaching ``min_support``,
+    in the canonical (support descending, rank tuple ascending) order,
+    from the brute-force oracle."""
+    table, __ = prepare_transactions(database, min_support)
+    ranked = sorted(
+        (
+            (tuple(sorted(table.rank_of[item] for item in itemset)), support)
+            for itemset, support in brute_force(database, min_support)
+            if len(itemset) >= min_length
+        ),
+        key=lambda entry: (-entry[1], entry[0]),
+    )
+    return [(table.ranks_to_items(ranks), support) for ranks, support in ranked]
+
+
+def _mine_top_k_items(table, array, k, min_length=1):
+    return [
+        (table.ranks_to_items(ranks), support)
+        for ranks, support in mine_top_k(array, k, min_length=min_length)
+    ]
+
+
 class TestQueryParity:
     """Store answers == the answers of direct calls on in-memory structures."""
 
-    def _direct(self, database, min_support):
-        table, transactions = prepare_transactions(database, min_support)
-        tree = TernaryCfpTree.from_rank_transactions(transactions, len(table))
-        return table, convert(tree)
-
     def test_support_matches_direct(self, store_path):
         database = paper_example_database()
-        table, array = self._direct(database, MIN_SUPPORT)
+        table, array = _direct(database, MIN_SUPPORT)
         with ServingStore(store_path) as store:
             for items in ([1], [3, 4], [1, 2, 3], [2, 9], [7], [1, 2, 3, 4]):
                 assert store.support(items) == itemset_support(
@@ -167,15 +194,20 @@ class TestQueryParity:
                 ), items
 
     def test_top_k_matches_direct(self, store_path):
+        # Top-k ranks the itemsets reaching the store's min_support: the
+        # first k of them, which is mine_top_k's answer whenever there are
+        # k. The paper example has fewer than 50, so k=50 returns them all.
         database = paper_example_database()
-        table, array = self._direct(database, MIN_SUPPORT)
+        table, array = _direct(database, MIN_SUPPORT)
+        ranking = _ranking(database, MIN_SUPPORT)
+        assert 10 <= len(ranking) < 50
         with ServingStore(store_path) as store:
             for k in (1, 3, 10, 50):
-                expected = [
-                    (table.ranks_to_items(ranks), support)
-                    for ranks, support in mine_top_k(array, k)
-                ]
-                assert store.top_k(k) == expected, k
+                assert store.top_k(k) == ranking[:k], k
+                if k <= len(ranking):
+                    assert store.top_k(k) == _mine_top_k_items(
+                        table, array, k
+                    ), k
 
     def test_rules_match_mine_rules(self, store_path):
         database = paper_example_database()
@@ -207,7 +239,7 @@ class TestQueryParity:
             # Databases with no frequent items cannot be built into a
             # store; that is the build pipeline's concern, not serving's.
             return
-        table, array = self._direct(database, 2)
+        table, array = _direct(database, 2)
         rng = random_module.Random(seed)
         universe = list(range(0, 10))
         with ServingStore(path) as store:
@@ -216,6 +248,63 @@ class TestQueryParity:
                 assert store.support(items) == itemset_support(
                     array, table, items
                 )
+
+
+class TestPatternIndex:
+    """Top-k and rules answer from one index, mined once per store."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        database=db_strategy,
+        min_support=st.integers(1, 4),
+        min_length=st.integers(1, 3),
+    )
+    def test_top_k_is_a_prefix_of_the_ranking(
+        self, database, min_support, min_length, tmp_path_factory
+    ):
+        table, array = _direct(database, min_support)
+        assume(len(table) > 0)
+        path = tmp_path_factory.mktemp("stores") / "db.cfpa"
+        build_store(database, min_support, path)
+        ranking = _ranking(database, min_support, min_length)
+        with ServingStore(path) as store:
+            for k in (1, 2, 5, 20, 80):
+                got = store.top_k(k, min_length=min_length)
+                assert got == ranking[:k], k
+                if k <= len(ranking):
+                    assert got == _mine_top_k_items(table, array, k, min_length)
+
+    def test_index_is_mined_once(self, store_path, monkeypatch):
+        calls = []
+        mine_array = store_module.mine_array
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return mine_array(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "mine_array", counting)
+        with ServingStore(store_path) as store:
+            for k in (1, 5, 50):
+                store.top_k(k)
+                store.top_k(k, min_length=2)
+            for confidence in (0.3, 0.6, 0.9):
+                store.rules(confidence)
+                store.rules(confidence, max_consequent_size=1)
+            for basket in ([1], [1, 2], [3]):
+                store.also_bought(basket, limit=2, min_confidence=0.4)
+        assert len(calls) == 1
+
+    def test_rules_cache_is_bounded(self, store_path):
+        database = paper_example_database()
+        itemsets = brute_force(database, MIN_SUPPORT)
+        with ServingStore(store_path) as store:
+            for step in range(200):
+                confidence = 0.2 + step * 0.004
+                got = store.also_bought([1, 2], limit=5, min_confidence=confidence)
+                rules = generate_rules(itemsets, len(database), confidence)
+                assert got == also_bought(rules, [1, 2], limit=5), confidence
+                assert len(store._rules_cache) <= RULES_CACHE_KEYS
+        assert len(store._rules_cache) == RULES_CACHE_KEYS
 
 
 class TestConcurrentStoreAccess:
@@ -243,3 +332,56 @@ class TestConcurrentStoreAccess:
             for thread in threads:
                 thread.join()
             assert not failures
+
+    def test_concurrent_first_queries_mine_once(self, tmp_path, monkeypatch):
+        import sys
+        import threading
+
+        database = random_database(seed=3, n_transactions=80)
+        path = tmp_path / "rand.cfpa"
+        build_store(database, 3, path)
+        with ServingStore(path) as oracle:
+            want_top = oracle.top_k(10)
+            want_rules = {
+                c: oracle.also_bought([1, 2], limit=4, min_confidence=c)
+                for c in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 0.35, 0.45)
+            }
+        calls = []
+        mine_array = store_module.mine_array
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return mine_array(*args, **kwargs)
+
+        monkeypatch.setattr(store_module, "mine_array", counting)
+        failures: list[str] = []
+        with ServingStore(path) as store:
+
+            def worker(offset: int) -> None:
+                confidences = list(want_rules)
+                for step in range(30):
+                    if store.top_k(10) != want_top:  # pragma: no cover
+                        failures.append("top_k")
+                    c = confidences[(offset + step) % len(confidences)]
+                    got = store.also_bought([1, 2], limit=4, min_confidence=c)
+                    if got != want_rules[c]:  # pragma: no cover
+                        failures.append(f"also_bought at {c}")
+                    if len(store._rules_cache) > RULES_CACHE_KEYS:  # pragma: no cover
+                        failures.append("rules cache over its bound")
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=worker, args=(offset,))
+                    for offset in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert len(calls) == 1

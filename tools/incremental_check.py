@@ -244,7 +244,7 @@ def _flip_leg(database: list[list[int]], workdir: str) -> None:
     async def run() -> None:
         with FollowingStore(snapshot_dir, pool_pages=32) as store:
             store.start_following(0.05)
-            server = ReproServer(store, workers=2)
+            server = ReproServer(store)
             await server.start()
             try:
                 await _drive_flip(server, store, manager, miner, table, batches)
