@@ -36,14 +36,7 @@ def leading_zero_bytes(value: int) -> int:
     (4, 3, 1)
     """
     _check_value(value)
-    if value == 0:
-        return WIDTH
-    zeros = 0
-    probe = 0xFF000000
-    while not value & probe:
-        zeros += 1
-        probe >>= 8
-    return zeros
+    return WIDTH - ((value.bit_length() + 7) >> 3)
 
 
 def payload_size_3bit(value: int) -> int:
@@ -113,10 +106,7 @@ def _read_payload(buf: Buffer, offset: int, size: int) -> tuple[int, int]:
         raise CorruptBufferError(
             f"zero-suppressed payload truncated: need {size} bytes at offset {offset}"
         )
-    value = 0
-    for i in range(offset, end):
-        value = (value << 8) | buf[i]
-    return value, end
+    return int.from_bytes(buf[offset:end], "big"), end
 
 
 def _check_value(value: int) -> None:

@@ -9,13 +9,15 @@ the parallel build phase (:mod:`repro.core.build_parallel`) reuses:
 
 * :func:`flatten_subtrees` — one DFS over the tree yielding each level-1
   subtree as flat preorder arrays ``(ranks, parents, counts)``, with
-  *cumulative* counts folded in by postorder accumulation. The CFP-array
-  stores cumulative counts, which are only known once a node's whole
-  subtree has been visited, while a node's encoded size (needed by the
-  sizing cursor) must be known at preorder time; the paper's C++ code can
-  fold this into its sizing pass because it tracks per-node state in the
-  tree itself, which the compressed byte format deliberately has no room
-  for.
+  *cumulative* counts folded in child to parent. The DFS is the tree's
+  own in-place arena walk (:meth:`TernaryCfpTree.subtrees`), which reads
+  node headers and chain entries without decoding node objects. The
+  CFP-array stores cumulative counts, which are only known once a node's
+  whole subtree has been visited, while a node's encoded size (needed by
+  the sizing cursor) must be known at preorder time; the paper's C++ code
+  can fold this into its sizing pass because it tracks per-node state in
+  the tree itself, which the compressed byte format deliberately has no
+  room for.
 * :func:`splice_subtree` — sizes one subtree's triples against a
   :class:`Layout` holding the global per-rank cursors. Because the serial
   DFS visits level-1 subtrees in ascending leading-rank order, splicing
@@ -49,20 +51,11 @@ FlatSubtree = tuple[int, list[int], list[int], list[int]]
 def cumulative_counts(tree: TernaryCfpTree) -> list[int]:
     """Cumulative count per node in DFS preorder.
 
-    ``count(v) = pcount(v) + sum of counts of v's children`` (§3.2),
-    computed by accumulating child totals into parents at leave events.
+    ``count(v) = pcount(v) + sum of counts of v's children`` (§3.2).
     """
     counts: list[int] = []
-    index_stack = [-1]
-    for kind, __, pcount in tree.iter_events():
-        if kind == "enter":
-            index_stack.append(len(counts))
-            counts.append(pcount)
-        else:
-            index = index_stack.pop()
-            parent = index_stack[-1]
-            if parent >= 0:
-                counts[parent] += counts[index]
+    for __, __, __, subtree_counts in flatten_subtrees(tree):
+        counts.extend(subtree_counts)
     return counts
 
 
@@ -70,29 +63,16 @@ def flatten_subtrees(tree: TernaryCfpTree) -> Iterator[FlatSubtree]:
     """Flatten each level-1 subtree of ``tree`` into preorder flat arrays.
 
     Yields ``(leading_rank, ranks, parents, counts)`` per root child, in
-    ascending leading-rank order (the order :meth:`~TernaryCfpTree.iter_events`
-    visits siblings). ``counts`` are cumulative. Concatenating the yielded
-    subtrees reproduces the full serial DFS, because level-1 subtrees
-    partition the tree and DFS never interleaves them.
+    ascending leading-rank order (the order :meth:`~TernaryCfpTree.subtrees`
+    walks the arena). ``counts`` are cumulative: the raw pcounts folded
+    child into parent in reverse preorder, which visits every child before
+    its parent. Concatenating the yielded subtrees reproduces the full
+    serial DFS, because level-1 subtrees partition the tree and DFS never
+    interleaves them.
     """
-    ranks: list[int] = []
-    parents: list[int] = []
-    counts: list[int] = []
-    stack: list[int] = []
-    for kind, rank, pcount in tree.iter_events():
-        if kind == "enter":
-            if not stack and ranks:
-                yield ranks[0], ranks, parents, counts
-                ranks, parents, counts = [], [], []
-            parents.append(stack[-1] if stack else -1)
-            stack.append(len(ranks))
-            ranks.append(rank)
-            counts.append(pcount)
-        else:
-            index = stack.pop()
-            if stack:
-                counts[stack[-1]] += counts[index]
-    if ranks:
+    for ranks, parents, counts in tree.subtrees():
+        for index in range(len(ranks) - 1, 0, -1):
+            counts[parents[index]] += counts[index]
         yield ranks[0], ranks, parents, counts
 
 

@@ -19,6 +19,15 @@ splits).
 
 The three structural features can be disabled individually
 (``enable_chains``, ``enable_embedding``) for the ablation experiments.
+
+Inserts and traversals read the arena in place: a descent step reads a
+node's fields and slot offsets through the codec's in-place readers
+(:func:`~repro.core.node_codec.read_node`) and builds a node object only
+for the node it mutates, and :meth:`TernaryCfpTree.subtrees` walks the
+whole tree into flat preorder lists for the conversion. The arena a
+build leaves behind — chunk addresses, free-list reuse, live bytes and
+the allocator's counts — is fixed by the insert order alone, and
+tests/core/test_build_identity.py pins it.
 """
 
 from __future__ import annotations
@@ -29,19 +38,27 @@ from typing import Any, Iterable, Iterator, Sequence
 from repro.core import node_codec as codec
 from repro.core.cfp_tree import CfpNode, CfpTree
 from repro.core.node_codec import (
+    EMBEDDED_FLOOR,
     ChainNode,
-    StandardNode,
+    FlatSubtree,
+    NodeFields,
     decode_embedded_leaf,
     decode_node,
+    embedded_fields,
+    encode_chain,
     encode_embedded_leaf,
-    is_chain_at,
+    encode_standard,
     leaf_embeddable,
+    node_object,
     pointer_slot,
+    read_node,
     read_slot,
     slot_address,
+    slot_bytes,
     slot_is_embedded,
+    slot_value,
+    walk_subtrees,
 )
-from repro.compress.zero_suppression import payload_size_2bit, payload_size_3bit
 from repro.errors import TreeError
 from repro.memman import Arena
 from repro.obs import get_tracer, metrics
@@ -164,7 +181,13 @@ class TernaryCfpTree:
     # ------------------------------------------------------------------
 
     def insert(self, ranks: list[int], count: int = 1) -> None:
-        """Insert a rank-sorted transaction, adding ``count`` to its pcount."""
+        """Insert a rank-sorted transaction, adding ``count`` to its pcount.
+
+        ``ranks`` must ascend strictly within ``1..n_ranks`` and ``count``
+        must be an int >= 1; otherwise :class:`TreeError` is raised before
+        any counter or arena byte changes.
+        """
+        self._validate_count(count)
         if not ranks:
             return
         self._validate_ranks(ranks)
@@ -198,7 +221,17 @@ class TernaryCfpTree:
         mutated depth are discarded — a resize there may have relocated the
         chunks they point into (see :meth:`_replace`); sorting is mandatory
         for the same reason (a smaller rank would resume into the wrong
-        BST subtree).
+        BST subtree). At depth 0 an insert whose first rank repeats resumes
+        at ``trail[0]``, the very node a search from the root finds; a new
+        first rank resumes at the *finger*, the end of the longest run of
+        right moves any earlier search of the batch made from the root,
+        which every larger rank's search also passes through. Neither
+        changes where a search ends, so the arena is byte-identical to
+        one searched from the root.
+
+        The whole batch is validated (as in :meth:`insert`) before the
+        first transaction is inserted, so a rejected batch leaves the tree
+        untouched.
 
         Returns the number of non-empty transactions inserted. The logical
         tree is identical to per-transaction :meth:`insert` calls in any
@@ -215,6 +248,11 @@ class TernaryCfpTree:
                     f"insert_batch counts ({len(weights)}) must align with "
                     f"transactions ({len(txns)})"
                 )
+            for weight in weights:
+                self._validate_count(weight)
+        for ranks in txns:
+            if ranks:
+                self._validate_ranks(ranks)
         if any(txns[k] < txns[k - 1] for k in range(1, len(txns))):
             if weights is None:
                 txns = sorted(txns)
@@ -223,6 +261,7 @@ class TernaryCfpTree:
                 txns = [txns[k] for k in order]
                 weights = [weights[k] for k in order]
         trail: list[tuple[int, int] | None] = [None]
+        finger = [self._root_slot]
         prev: list[int] = []
         valid = 0  # trail[:valid] may be resumed
         inserted = 0
@@ -230,7 +269,6 @@ class TernaryCfpTree:
         for position, ranks in enumerate(txns):
             if not ranks:
                 continue
-            self._validate_ranks(ranks)
             inserted += 1
             count = 1 if weights is None else weights[position]
             self.transaction_count += count
@@ -252,8 +290,14 @@ class TernaryCfpTree:
                 self.prefix_skip_levels += resume
             else:
                 resume = 0
-                slot, base = self._root_slot, 0
-            stop = self._insert_from(ranks, count, slot, base, resume, trail)
+                if lcp:
+                    # Same first rank: its depth-0 node hangs off trail[0].
+                    entry = trail[0]
+                    assert entry is not None
+                    slot, base = entry
+                else:
+                    slot, base = finger[0], 0
+            stop = self._insert_from(ranks, count, slot, base, resume, trail, finger)
             valid = stop + 1
             prev = ranks
         # Metric publication is gated on an installed tracer, like every
@@ -265,8 +309,7 @@ class TernaryCfpTree:
             )
         return inserted
 
-    @staticmethod
-    def _validate_ranks(ranks: list[int]) -> None:
+    def _validate_ranks(self, ranks: list[int]) -> None:
         previous = 0
         for rank in ranks:
             if rank <= previous:
@@ -275,6 +318,16 @@ class TernaryCfpTree:
                     f"positive: {ranks}"
                 )
             previous = rank
+        if previous > self.n_ranks:
+            raise TreeError(
+                f"transaction rank {previous} exceeds the tree's "
+                f"{self.n_ranks} ranks"
+            )
+
+    @staticmethod
+    def _validate_count(count: int) -> None:
+        if not isinstance(count, int) or count < 1:
+            raise TreeError(f"transaction count must be an int >= 1, got {count!r}")
 
     def _insert_from(
         self,
@@ -284,6 +337,7 @@ class TernaryCfpTree:
         base: int,
         i: int,
         trail: list[tuple[int, int] | None] | None,
+        finger: list[int] | None = None,
     ) -> int:
         """Run the §3.3 insert descent for ``ranks[i:]`` starting at ``slot``.
 
@@ -295,201 +349,169 @@ class TernaryCfpTree:
         a chain chunk get ``None`` (there is no per-depth slot to resume at
         inside a chain).
 
+        ``finger`` (a one-slot list) is the depth-0 search's resume point
+        in a sorted batch: the slot reached by the longest run of right
+        moves from the root. Every later, larger first rank takes those
+        same right moves, so its search may start there and end where a
+        search from the root would.
+
         Returns the *stop depth*: the first depth of the chunk the final
         mutation touched. Trail entries at depths <= stop keep pointing into
         chunks this insert cannot have relocated: every relocation patches
         the single slot referencing the moved chunk, and that slot lives
         outside it — while slots *inside* the moved chunk reference strictly
         deeper nodes, whose trail depths exceed the returned stop.
+
+        Descents read node headers and chain entries in place; only the
+        node a step mutates is decoded into a node object.
         """
         buf = self.arena.buf
         n = len(ranks)
         while True:
             delta = ranks[i] - base
-            raw = read_slot(buf, slot)
-            if raw == codec.NULL_SLOT:
+            target = slot_value(buf, slot)
+            if not target:
                 content = self._build_path(ranks, i, base, count)
                 self._write_slot(slot, content)
                 if trail is not None:
                     trail[i] = (slot, base)
                 return i
-            if slot_is_embedded(raw):
-                leaf_delta, leaf_pcount = decode_embedded_leaf(raw)
+            if target >= EMBEDDED_FLOOR:
+                leaf_delta, leaf_pcount = embedded_fields(target)
                 if leaf_delta == delta and i == n - 1:
                     new_pcount = leaf_pcount + count
                     if leaf_embeddable(leaf_delta, new_pcount):
-                        self._write_slot(
-                            slot, encode_embedded_leaf(leaf_delta, new_pcount)
-                        )
+                        content = encode_embedded_leaf(leaf_delta, new_pcount)
                     else:
-                        node = StandardNode(leaf_delta, new_pcount)
-                        self._write_slot(slot, pointer_slot(self._store(node)))
+                        data = encode_standard(leaf_delta, new_pcount)
+                        content = pointer_slot(self._store(data))
+                    self._write_slot(slot, content)
                     if trail is not None:
                         trail[i] = (slot, base)
                     return i
                 # The leaf gains a child or a sibling: promote to standard.
-                node = StandardNode(leaf_delta, leaf_pcount)
-                self._write_slot(slot, pointer_slot(self._store(node)))
-                buf = self.arena.buf
+                data = encode_standard(leaf_delta, leaf_pcount)
+                self._write_slot(slot, pointer_slot(self._store(data)))
                 continue
-            addr = slot_address(raw)
-            if is_chain_at(buf, addr):
+            fields = read_node(buf, target)
+            chain = isinstance(fields[0], list)
+            node_delta = fields[0][0] if chain else fields[0]
+            if delta != node_delta:
+                # Sibling navigation (a chain's siblings hang off its first
+                # entry): the left slot is field 2, the right field 3.
+                side = 2 if delta < node_delta else 3
+                if fields[side]:
+                    next_slot = target + fields[side]
+                    if side == 3 and finger is not None and slot == finger[0]:
+                        finger[0] = next_slot
+                    slot = next_slot
+                    continue
+                node = node_object(buf, target, fields)
+                content = self._build_path(ranks, i, base, count)
+                if side == 2:
+                    node.left = content
+                else:
+                    node.right = content
+                new_addr = self._replace(slot, target, fields[5], node.encode())
+                if trail is not None:
+                    trail[i] = (new_addr + read_node(buf, new_addr)[side], base)
+                return i
+            if trail is not None:
+                trail[i] = (slot, base)
+            if chain:
                 chain_depth = i
-                result = self._step_chain(slot, addr, ranks, i, base, count, trail)
+                result = self._step_chain(slot, target, fields, ranks, i, count, trail)
                 if result is None:
                     return chain_depth
                 slot, base, i = result
-                buf = self.arena.buf
                 continue
-            node, size = StandardNode.decode(buf, addr)
-            if node.delta_item == delta:
-                if trail is not None:
-                    trail[i] = (slot, base)
-                if i == n - 1:
-                    node.pcount += count
-                    self._replace(slot, addr, size, node)
-                    return i
-                if node.suffix is None:
-                    node.suffix = self._build_path(ranks, i + 1, ranks[i], count)
-                    self._replace(slot, addr, size, node)
-                    return i
-                slot = addr + size - POINTER_SIZE
+            __, pcount, __, __, suffix, size = fields
+            if i < n - 1 and suffix:
+                slot = target + suffix
                 base = ranks[i]
                 i += 1
                 continue
-            if delta < node.delta_item:
-                if node.left is None:
-                    node.left = self._build_path(ranks, i, base, count)
-                    new_addr = self._replace(slot, addr, size, node)
-                    if trail is not None:
-                        trail[i] = (
-                            new_addr + self._standard_left_offset(node),
-                            base,
-                        )
-                    return i
-                slot = addr + self._standard_left_offset(node)
-                continue
-            if node.right is None:
-                node.right = self._build_path(ranks, i, base, count)
-                new_addr = self._replace(slot, addr, size, node)
-                if trail is not None:
-                    trail[i] = (
-                        new_addr + self._standard_right_offset(node),
-                        base,
-                    )
-                return i
-            slot = addr + self._standard_right_offset(node)
+            if i == n - 1:
+                # The transaction ends here: add its count to the node's.
+                counted = (node_delta, pcount + count) + fields[2:]
+                node = node_object(buf, target, counted)
+            else:
+                node = node_object(buf, target, fields)
+                node.suffix = self._build_path(ranks, i + 1, ranks[i], count)
+            self._replace(slot, target, size, node.encode())
+            return i
 
     def _step_chain(
         self,
         slot: int,
         addr: int,
+        fields: NodeFields,
         ranks: list[int],
         i: int,
-        base: int,
         count: int,
         trail: list[tuple[int, int] | None] | None = None,
     ) -> tuple[int, int, int] | None:
-        """Advance an insert through the chain node at ``addr``.
+        """Walk an insert along the chain at ``addr`` from its first entry.
 
-        Returns the next ``(slot, base, i)`` to process, or None when the
-        insert completed inside the chain.
+        The chain's first entry matches ``ranks[i]``. ``fields`` are the
+        chain's :func:`read_chain` fields; a :class:`ChainNode` is built
+        only when this step mutates the chain. Returns the next
+        ``(slot, base, i)`` to process, or None when the insert completed
+        inside the chain.
         """
-        buf = self.arena.buf
-        chain, size = ChainNode.decode(buf, addr)
-        entries = chain.entries
+        deltas, pcounts, __, __, suffix, size = fields
         n = len(ranks)
-        delta = ranks[i] - base
-        first_delta = entries[0][0]
-        if delta != first_delta:
-            # Sibling navigation hangs off the chain's first element.
-            if delta < first_delta:
-                if chain.left is None:
-                    chain.left = self._build_path(ranks, i, base, count)
-                    new_addr = self._replace(slot, addr, size, chain)
-                    if trail is not None:
-                        trail[i] = (
-                            new_addr
-                            + self._chain_pointer_offset(
-                                chain, chain.encoded_size(), "left"
-                            ),
-                            base,
-                        )
-                    return None
-                return addr + self._chain_pointer_offset(chain, size, "left"), base, i
-            if chain.right is None:
-                chain.right = self._build_path(ranks, i, base, count)
-                new_addr = self._replace(slot, addr, size, chain)
-                if trail is not None:
-                    trail[i] = (
-                        new_addr
-                        + self._chain_pointer_offset(
-                            chain, chain.encoded_size(), "right"
-                        ),
-                        base,
-                    )
-                return None
-            return addr + self._chain_pointer_offset(chain, size, "right"), base, i
-        if trail is not None:
-            # The chain's first entry is this transaction's depth-``i`` node,
-            # reachable through the chain's referencing slot.
-            trail[i] = (slot, base)
         j = 0
         while True:
-            # entries[j] matches ranks[i].
+            # Entry j matches ranks[i].
             base = ranks[i]
             i += 1
             if i == n:
-                entry_delta, entry_pcount = entries[j]
-                entries[j] = (entry_delta, entry_pcount + count)
-                self._replace(slot, addr, size, chain)
+                pcounts[j] += count
+                chain = node_object(self.arena.buf, addr, fields)
+                self._replace(slot, addr, size, chain.encode())
                 return None
             delta = ranks[i] - base
             j += 1
-            if j == len(entries):
-                if chain.suffix is None:
-                    chain.suffix = self._build_path(ranks, i, base, count)
-                    self._replace(slot, addr, size, chain)
-                    return None
-                return addr + size - POINTER_SIZE, base, i
+            if j == len(deltas):
+                if suffix:
+                    return addr + suffix, base, i
+                chain = node_object(self.arena.buf, addr, fields)
+                chain.suffix = self._build_path(ranks, i, base, count)
+                self._replace(slot, addr, size, chain.encode())
+                return None
             # Depth i sits inside this chain chunk: no slot to resume at.
             # A split overwrites this via the level-root recording on return.
             if trail is not None:
                 trail[i] = None
-            if entries[j][0] != delta:
-                suffix_slot = self._split_chain(slot, addr, size, chain, j)
-                return suffix_slot, base, i
+            if deltas[j] != delta:
+                return self._split_chain(slot, addr, fields, j), base, i
 
-    def _split_chain(
-        self, slot: int, addr: int, size: int, chain: ChainNode, j: int
-    ) -> int:
-        """Split ``chain`` before entry ``j``; return the prefix's suffix slot.
+    def _split_chain(self, slot: int, addr: int, fields: NodeFields, j: int) -> int:
+        """Split the chain at ``addr`` before entry ``j``; return the slot below.
+
+        The returned slot is the suffix slot of the prefix's last entry.
 
         The prefix ``entries[:j]`` stays in place (keeping the chain's
         left/right siblings); entry ``j`` becomes a standard node so it can
         take BST siblings; the tail ``entries[j+1:]`` is re-materialized
         below it, ending in the chain's original suffix.
         """
-        entries = chain.entries
-        tail_content = self._materialize_run(list(entries[j + 1 :]), chain.suffix)
-        pivot_delta, pivot_pcount = entries[j]
-        pivot = StandardNode(pivot_delta, pivot_pcount, suffix=tail_content)
+        deltas, pcounts, left, right, suffix, size = fields
+        buf = self.arena.buf
+        left_raw = slot_bytes(buf, addr, left)
+        right_raw = slot_bytes(buf, addr, right)
+        tail = list(zip(deltas[j + 1 :], pcounts[j + 1 :]))
+        tail_content = self._materialize_run(tail, slot_bytes(buf, addr, suffix))
+        pivot = encode_standard(deltas[j], pcounts[j], suffix=tail_content)
         pivot_ptr = pointer_slot(self._store(pivot))
-        prefix_entries = entries[:j]
-        if len(prefix_entries) == 1:
-            prefix = StandardNode(
-                prefix_entries[0][0],
-                prefix_entries[0][1],
-                left=chain.left,
-                right=chain.right,
-                suffix=pivot_ptr,
-            )
+        if j == 1:
+            data = encode_standard(deltas[0], pcounts[0], left_raw, right_raw, pivot_ptr)
         else:
-            prefix = ChainNode(
-                prefix_entries, left=chain.left, right=chain.right, suffix=pivot_ptr
-            )
-        new_addr = self._replace(slot, addr, size, prefix)
-        return new_addr + prefix.encoded_size() - POINTER_SIZE
+            prefix = list(zip(deltas[:j], pcounts[:j]))
+            data = encode_chain(prefix, left_raw, right_raw, pivot_ptr)
+        new_addr = self._replace(slot, addr, size, data)
+        return new_addr + len(data) - POINTER_SIZE
 
     def _build_path(
         self, ranks: list[int], i: int, base: int, count: int
@@ -536,31 +558,26 @@ class TernaryCfpTree:
         while remaining:
             if self.enable_chains and len(remaining) >= 2:
                 take = min(len(remaining), self.max_chain_length)
-                chunk = remaining[-take:]
+                data = encode_chain(remaining[-take:], suffix=content)
                 remaining = remaining[:-take]
-                node: StandardNode | ChainNode = ChainNode(chunk, suffix=content)
             else:
                 delta_item, pcount = remaining[-1]
                 remaining = remaining[:-1]
-                node = StandardNode(delta_item, pcount, suffix=content)
-            content = pointer_slot(self._store(node))
+                data = encode_standard(delta_item, pcount, suffix=content)
+            content = pointer_slot(self._store(data))
         return content
 
     # ------------------------------------------------------------------
     # Chunk plumbing
     # ------------------------------------------------------------------
 
-    def _store(self, node: StandardNode | ChainNode) -> int:
-        data = node.encode()
+    def _store(self, data: bytes) -> int:
         addr = self.arena.alloc(max(len(data), MIN_CHUNK_SIZE))
         self.arena.write(addr, data)
         return addr
 
-    def _replace(
-        self, slot: int, addr: int, old_size: int, node: StandardNode | ChainNode
-    ) -> int:
-        """Re-encode ``node`` over its old chunk, relocating if it outgrew it."""
-        data = node.encode()
+    def _replace(self, slot: int, addr: int, old_size: int, data: bytes) -> int:
+        """Write ``data`` over its old chunk, relocating if it outgrew it."""
         old_chunk = max(old_size, MIN_CHUNK_SIZE)
         new_chunk = max(len(data), MIN_CHUNK_SIZE)
         if new_chunk == old_chunk:
@@ -575,103 +592,43 @@ class TernaryCfpTree:
     def _write_slot(self, slot: int, raw: bytes) -> None:
         self.arena.write(slot, raw)
 
-    @staticmethod
-    def _standard_left_offset(node: StandardNode) -> int:
-        return 1 + payload_size_2bit(node.delta_item) + payload_size_3bit(node.pcount)
-
-    @classmethod
-    def _standard_right_offset(cls, node: StandardNode) -> int:
-        offset = cls._standard_left_offset(node)
-        if node.left is not None:
-            offset += POINTER_SIZE
-        return offset
-
-    @staticmethod
-    def _chain_pointer_offset(chain: ChainNode, size: int, which: str) -> int:
-        present = sum(
-            slot is not None for slot in (chain.left, chain.right, chain.suffix)
-        )
-        pointer_area = size - present * POINTER_SIZE
-        if which == "left":
-            return pointer_area
-        offset = pointer_area
-        if chain.left is not None:
-            offset += POINTER_SIZE
-        return offset
-
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
 
+    def subtrees(self) -> Iterator[FlatSubtree]:
+        """Each level-1 subtree as flat preorder ``(ranks, parents, pcounts)``.
+
+        One walk of the arena that reads every node in place
+        (:func:`~repro.core.node_codec.walk_subtrees`): subtrees come in
+        ascending leading-rank order, siblings in ascending rank order,
+        children after their parent. ``parents[i]`` indexes the subtree's
+        lists (-1 for its root); pcounts are raw. Every yielded list is
+        fresh, so callers may keep or fold them.
+        """
+        return walk_subtrees(self.arena.buf, self._root_slot)
+
     def iter_events(self) -> Iterator[tuple[str, int, int]]:
         """Preorder DFS events: ``("enter", rank, pcount)`` / ``("leave", 0, 0)``.
 
-        Siblings are visited in ascending rank order (in-order over the
-        sibling BSTs), children after their parent — the traversal order the
-        CFP-array conversion uses.
+        The event form of :meth:`subtrees`, in the same order.
         """
-        buf = self.arena.buf
-        root_raw = read_slot(buf, self._root_slot)
-        if root_raw == codec.NULL_SLOT:
-            return
-        stack: list[tuple[Any, ...]] = [("slot", root_raw, 0)]
-        while stack:
-            frame = stack.pop()
-            kind = frame[0]
-            if kind == "leave":
+        for ranks, parents, pcounts in self.subtrees():
+            open_nodes: list[int] = []
+            for index, parent in enumerate(parents):
+                while open_nodes and open_nodes[-1] != parent:
+                    open_nodes.pop()
+                    yield ("leave", 0, 0)
+                open_nodes.append(index)
+                yield ("enter", ranks[index], pcounts[index])
+            for __ in open_nodes:
                 yield ("leave", 0, 0)
-                continue
-            if kind == "emit":
-                __, rank, pcount, suffix_raw = frame
-                yield ("enter", rank, pcount)
-                stack.append(("leave",))
-                if suffix_raw is not None and suffix_raw != codec.NULL_SLOT:
-                    stack.append(("slot", suffix_raw, rank))
-                continue
-            if kind == "chain":
-                __, entries, suffix_raw, base = frame
-                rank = base
-                for delta_item, pcount in entries:
-                    rank += delta_item
-                    yield ("enter", rank, pcount)
-                for __ in entries:
-                    stack.append(("leave",))
-                if suffix_raw is not None and suffix_raw != codec.NULL_SLOT:
-                    stack.append(("slot", suffix_raw, rank))
-                continue
-            # kind == "slot": expand a BST position in-order.
-            __, raw, base = frame
-            if slot_is_embedded(raw):
-                delta_item, pcount = decode_embedded_leaf(raw)
-                stack.append(("emit", base + delta_item, pcount, None))
-                continue
-            addr = slot_address(raw)
-            if is_chain_at(buf, addr):
-                chain, __ = ChainNode.decode(buf, addr)
-                if chain.right is not None:
-                    stack.append(("slot", chain.right, base))
-                stack.append(("chain", chain.entries, chain.suffix, base))
-                if chain.left is not None:
-                    stack.append(("slot", chain.left, base))
-            else:
-                node, __ = StandardNode.decode(buf, addr)
-                if node.right is not None:
-                    stack.append(("slot", node.right, base))
-                stack.append(
-                    ("emit", base + node.delta_item, node.pcount, node.suffix)
-                )
-                if node.left is not None:
-                    stack.append(("slot", node.left, base))
 
     def iter_nodes_with_parent(self) -> Iterator[tuple[int, int, int]]:
         """DFS preorder ``(rank, pcount, parent_rank)`` triples."""
-        path: list[int] = [0]
-        for kind, rank, pcount in self.iter_events():
-            if kind == "enter":
-                yield rank, pcount, path[-1]
-                path.append(rank)
-            else:
-                path.pop()
+        for ranks, parents, pcounts in self.subtrees():
+            for rank, parent, pcount in zip(ranks, parents, pcounts):
+                yield rank, pcount, ranks[parent] if parent >= 0 else 0
 
     def to_logical(self) -> CfpTree:
         """Reconstruct the logical CFP-tree (used by tests and validation)."""

@@ -22,8 +22,8 @@ real disk path instead of a cost model:
   measures,
 * :mod:`repro.storage.placement` — pluggable write-placement policies
   for partition payloads (append; wear-aware round-robin),
-* :mod:`repro.storage.compaction` — background repacking of fragmented
-  partitioned stores through a placement policy.
+* :mod:`repro.storage.compaction` — repacking of fragmented partitioned
+  stores through a placement policy (``repro compact``).
 
 The buffer-pool statistics reproduce the paper's access-pattern story
 measurably: writing subarrays during conversion faults once per page
@@ -43,7 +43,7 @@ from repro.storage.cfp_store import (
     save_cfp_array_partitioned,
     save_cfp_tree,
 )
-from repro.storage.compaction import BackgroundCompactor, CompactionReport, compact_store
+from repro.storage.compaction import CompactionReport, compact_store
 from repro.storage.pagefile import PAGE_SIZE, PageFile
 from repro.storage.partitioned import DiskCfpArray, PartitionedCfpArray
 from repro.storage.placement import (
@@ -72,7 +72,6 @@ __all__ = [
     "get_placement",
     "compact_store",
     "CompactionReport",
-    "BackgroundCompactor",
     "save_cfp_tree",
     "load_cfp_tree",
     "load_cfp_tree_checkpoint",

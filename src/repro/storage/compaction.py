@@ -1,4 +1,4 @@
-"""Background compaction of partitioned (v3) CFP-array stores.
+"""Compaction of partitioned (v3) CFP-array stores.
 
 Partition payloads are page-padded, so a store accumulates *slack* —
 pages kept on disk that hold no buffer bytes. Slack grows when partitions
@@ -12,11 +12,9 @@ replacing the old one (``os.replace``). Readers holding the old file
 keep a consistent generation via their open handle; new opens see the
 compacted store.
 
-:class:`BackgroundCompactor` runs that check on a timer thread — the
-serving-layer shape: queries keep hitting the hot store while cold,
-fragmented generations are repacked behind it. Each run bumps the
-placement generation, so the round-robin policy actually rotates
-partition payloads across the file over successive rewrites (the
+Each rewrite can place partitions through a different policy generation
+(``repro compact --placement round-robin --generation N``), so repeated
+compactions rotate partition payloads across the file (the
 wear-leveling motivation; see docs/performance.md).
 
 Counters (published per :func:`compact_store` call):
@@ -27,7 +25,6 @@ Counters (published per :func:`compact_store` call):
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -41,13 +38,10 @@ from repro.storage.cfp_store import (
     save_cfp_array_partitioned,
 )
 from repro.storage.pagefile import PAGE_SIZE, PageFile, fsync_dir
-from repro.storage.placement import PlacementPolicy, get_placement
+from repro.storage.placement import PlacementPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.registry import MetricsRegistry
-
-#: Slack fraction above which :class:`BackgroundCompactor` rewrites.
-DEFAULT_FRAGMENTATION_THRESHOLD = 0.25
 
 
 class CompactionError(ReproError):
@@ -121,9 +115,9 @@ def compact_store(
         return report
     # Convergence guard: part of the slack is intrinsic (each partition's
     # final page is padded). If re-planning at the target size cannot
-    # shrink the payload, a rewrite would change nothing — and a timer
-    # compactor whose threshold sits below the intrinsic slack would
-    # otherwise rewrite the same bytes every interval.
+    # shrink the payload, a rewrite would change nothing — and a caller
+    # whose threshold sits below the intrinsic slack would otherwise
+    # rewrite the same bytes on every pass.
     planned = plan_partitions(header.starts, header.n_ranks, partition_bytes)
     planned_pages = sum(
         pages_needed(header.starts[last + 1] - header.starts[first])
@@ -154,88 +148,9 @@ def compact_store(
     return report
 
 
-class BackgroundCompactor:
-    """Timer thread repacking a store whenever it fragments past a threshold.
-
-    Each run resolves the placement policy fresh with the run index as
-    its generation, so ``round-robin`` placement actually rotates payload
-    order across rewrites. Failures of one run (transient I/O, a reader
-    racing the replace on exotic filesystems) are recorded on the report
-    list and do not stop the thread.
-    """
-
-    def __init__(
-        self,
-        path: str | os.PathLike[str],
-        *,
-        interval_s: float = 60.0,
-        partition_bytes: int = DEFAULT_PARTITION_BYTES,
-        placement_name: str = "append",
-        threshold: float = DEFAULT_FRAGMENTATION_THRESHOLD,
-    ) -> None:
-        self._path = os.fspath(path)
-        self._interval_s = interval_s
-        self._partition_bytes = partition_bytes
-        self._placement_name = placement_name
-        self._threshold = threshold
-        self._generation = 0
-        self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        self.reports: list[CompactionReport] = []
-        self.errors: list[str] = []
-
-    def run_once(self) -> CompactionReport:
-        """One synchronous compaction check (also used by the thread)."""
-        placement = get_placement(self._placement_name, self._generation)
-        report = compact_store(
-            self._path,
-            partition_bytes=self._partition_bytes,
-            placement=placement,
-            threshold=self._threshold,
-        )
-        if report.ran:
-            self._generation += 1
-        self.reports.append(report)
-        return report
-
-    def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._thread = threading.Thread(
-            target=self._run, name="repro-compactor", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self, timeout: float = 5.0) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(timeout)
-            self._thread = None
-
-    def __enter__(self) -> "BackgroundCompactor":
-        self.start()
-        return self
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
-        self.stop()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self._interval_s):
-            try:
-                self.run_once()
-            except ReproError as exc:
-                # One bad pass (corrupt store mid-write elsewhere, I/O
-                # hiccup) must not kill the maintenance thread.
-                self.errors.append(str(exc))
-            except OSError as exc:
-                self.errors.append(str(exc))
-
-
 __all__ = [
     "CompactionError",
     "CompactionReport",
-    "DEFAULT_FRAGMENTATION_THRESHOLD",
-    "BackgroundCompactor",
     "compact_store",
     "store_fragmentation",
 ]

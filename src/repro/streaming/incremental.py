@@ -82,28 +82,13 @@ class DeltaForest:
     def from_tree(cls, tree: TernaryCfpTree) -> "DeltaForest":
         """Flatten a ternary CFP-tree, keeping pcounts raw.
 
-        Same event walk as :func:`~repro.core.conversion.flatten_subtrees`
-        minus the leave-event accumulation — the forest must stay
-        subtractable, so the cumulative fold is deferred to
+        The same arena walk as :func:`~repro.core.conversion.flatten_subtrees`
+        (:meth:`TernaryCfpTree.subtrees`) minus the cumulative fold — the
+        forest must stay subtractable, so the fold is deferred to
         :func:`forest_to_array`.
         """
         forest = cls(tree.n_ranks)
-        ranks: list[int] = []
-        parents: list[int] = []
-        pcounts: list[int] = []
-        stack: list[int] = []
-        for kind, rank, pcount in tree.iter_events():
-            if kind == "enter":
-                if not stack and ranks:
-                    forest.trees[ranks[0]] = (ranks, parents, pcounts)
-                    ranks, parents, pcounts = [], [], []
-                parents.append(stack[-1] if stack else -1)
-                stack.append(len(ranks))
-                ranks.append(rank)
-                pcounts.append(pcount)
-            else:
-                stack.pop()
-        if ranks:
+        for ranks, parents, pcounts in tree.subtrees():
             forest.trees[ranks[0]] = (ranks, parents, pcounts)
         return forest
 

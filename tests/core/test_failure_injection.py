@@ -4,7 +4,16 @@ import pytest
 
 from repro.compress import varint
 from repro.core.cfp_array import CfpArray
-from repro.core.node_codec import ChainNode, StandardNode, pointer_slot
+from repro.core.conversion import convert
+from repro.core.node_codec import (
+    EMBEDDED_FLOOR,
+    ChainNode,
+    StandardNode,
+    pointer_slot,
+    read_node,
+    slot_value,
+    walk_subtrees,
+)
 from repro.core.ternary import TernaryCfpTree
 from repro.errors import CodecError, CorruptBufferError, ReproError, TreeError
 
@@ -127,3 +136,122 @@ class TestTreeMisuse:
 
         array = convert(tree)
         assert array.rank_support(1) == 123_456_789 + 987_654_321
+
+
+def _fingerprint(tree):
+    return (
+        tree.arena.snapshot(),
+        tree.arena.stats(),
+        tree.transaction_count,
+        tree.logical_node_count,
+    )
+
+
+class TestInsertValidation:
+    """A rejected insert leaves every counter and arena byte untouched."""
+
+    def _tree(self):
+        tree = TernaryCfpTree(5)
+        tree.insert([1, 2, 3])
+        return tree
+
+    @pytest.mark.parametrize("ranks", [[1, 9], [6], [0, 1], [2, 2], [3, 1]])
+    def test_bad_ranks(self, ranks):
+        tree = self._tree()
+        before = _fingerprint(tree)
+        with pytest.raises(TreeError):
+            tree.insert(ranks)
+        with pytest.raises(TreeError):
+            tree.insert_batch([[1, 4], ranks])
+        assert _fingerprint(tree) == before
+
+    def test_rank_above_n_ranks_never_reaches_convert(self):
+        with pytest.raises(TreeError):
+            TernaryCfpTree(5).insert([1, 9])
+        tree = TernaryCfpTree(5)
+        with pytest.raises(TreeError):
+            tree.insert_batch([[2, 300]])
+        assert convert(tree).node_count == 0
+
+    @pytest.mark.parametrize("count", [-3, 0, 1.5, "2", None])
+    def test_bad_count(self, count):
+        tree = self._tree()
+        before = _fingerprint(tree)
+        with pytest.raises(TreeError):
+            tree.insert([1, 2], count=count)
+        with pytest.raises(TreeError):
+            tree.insert_batch([[1, 2], [1, 3]], counts=[2, count])
+        assert _fingerprint(tree) == before
+
+    def test_zero_weight_is_rejected_before_the_batch(self):
+        tree = TernaryCfpTree(3)
+        with pytest.raises(TreeError):
+            tree.insert_batch([[1, 2], [1, 3]], counts=[0, 2])
+        assert tree.transaction_count == 0 and tree.logical_node_count == 0
+        assert tree.arena.stats().alloc_count == 1  # the root slot only
+
+
+class TestCorruptArenaWalk:
+    """The in-place preorder walk turns corrupt bytes into typed errors."""
+
+    def _tree(self):
+        tree = TernaryCfpTree(8)
+        tree.insert_batch(
+            [[1, 2, 3, 4, 5], [1, 2, 6], [2, 5], [3], [3, 7, 8], [4, 6]],
+            counts=[1, 2, 3, 300, 5, 6],
+        )
+        return tree
+
+    def _node(self, tree, chain):
+        """Address of the first node of the wanted kind under the root."""
+        buf = tree.arena.buf
+        stack = [slot_value(buf, tree._root_slot)]
+        while stack:
+            addr = stack.pop()
+            fields = read_node(buf, addr)
+            if isinstance(fields[0], list) == chain:
+                return addr
+            for offset in fields[2:5]:
+                if offset and slot_value(buf, addr + offset) < EMBEDDED_FLOOR:
+                    stack.append(slot_value(buf, addr + offset))
+        raise AssertionError("no such node")
+
+    def _walk(self, tree):
+        return list(walk_subtrees(tree.arena.buf, tree._root_slot))
+
+    def test_intact_tree_walks(self):
+        tree = self._tree()
+        assert sum(len(ranks) for ranks, __, __ in self._walk(tree)) == tree.node_count
+
+    def test_pointer_beyond_the_buffer(self):
+        tree = self._tree()
+        tree.arena.write(tree._root_slot, pointer_slot(len(tree.arena.buf) + 64))
+        with pytest.raises(CorruptBufferError):
+            self._walk(tree)
+
+    @pytest.mark.parametrize("pcount_mask", [5, 6])
+    def test_impossible_mask(self, pcount_mask):
+        tree = self._tree()
+        addr = self._node(tree, chain=False)
+        mask = tree.arena.read(addr, 1)[0]
+        tree.arena.write(addr, bytes([(mask & 0b11000111) | (pcount_mask << 3)]))
+        with pytest.raises(CodecError):
+            self._walk(tree)
+        with pytest.raises(CodecError):
+            convert(tree)
+
+    @pytest.mark.parametrize("length", [0, 16])
+    def test_corrupt_chain_length(self, length):
+        tree = self._tree()
+        addr = self._node(tree, chain=True)
+        tree.arena.write(addr + 1, bytes([length]))
+        with pytest.raises(CorruptBufferError):
+            self._walk(tree)
+
+    def test_node_truncated_at_the_buffer_end(self):
+        tree = self._tree()
+        addr = self._node(tree, chain=False)
+        size = StandardNode.decode(tree.arena.buf, addr)[1]
+        truncated = bytes(tree.arena.buf[: addr + size - 1])
+        with pytest.raises(CorruptBufferError):
+            list(walk_subtrees(truncated, tree._root_slot))

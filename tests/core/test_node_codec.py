@@ -4,20 +4,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.compress.masks import NODE_LAYOUTS, unpack_node_mask
 from repro.core import node_codec as codec
 from repro.core.node_codec import (
     ChainNode,
     StandardNode,
     decode_embedded_leaf,
     decode_node,
+    encode_chain,
     encode_embedded_leaf,
+    encode_standard,
     is_chain_tag,
     leaf_embeddable,
     pointer_slot,
+    read_chain,
+    read_node,
+    read_standard,
     slot_address,
     slot_is_embedded,
 )
-from repro.errors import ChainOverflowError, CorruptBufferError
+from repro.errors import (
+    ChainOverflowError,
+    CodecError,
+    CorruptBufferError,
+    ReproError,
+    ValueOutOfRangeError,
+)
 
 slots = st.one_of(
     st.none(),
@@ -195,3 +207,117 @@ class TestChainNode:
         assert size == len(encoded)
         assert decoded.entries == entries
         assert (decoded.left, decoded.right, decoded.suffix) == (left, right, suffix)
+
+
+def _error_type(function, *args):
+    """The exact exception type ``function(*args)`` raises."""
+    with pytest.raises(ReproError) as info:
+        function(*args)
+    return type(info.value)
+
+
+class TestLayoutTable:
+    def test_matches_unpack_node_mask_for_every_byte(self):
+        for byte in range(256):
+            layout = NODE_LAYOUTS[byte]
+            try:
+                mask = unpack_node_mask(byte)
+            except CodecError:
+                # pcount masks 5-7: never a standard node.
+                assert layout is None or layout.chain
+                assert (layout is not None) == is_chain_tag(byte)
+                continue
+            assert layout is not None and not layout.chain
+            assert layout.item_width == 4 - mask.item_mask
+            assert layout.pcount_width == 4 - mask.pcount_mask
+            presence = (layout.left > 0, layout.right > 0, layout.suffix > 0)
+            assert presence == (
+                mask.left_present,
+                mask.right_present,
+                mask.suffix_present,
+            )
+            header = 1 + layout.item_width + layout.pcount_width
+            assert layout.size == header + 5 * sum(presence)
+
+    @given(
+        st.integers(min_value=0, max_value=0xFFFFFFFF),
+        st.integers(min_value=0, max_value=0xFFFFFFFF),
+        slots,
+        slots,
+        slots,
+    )
+    def test_read_standard_agrees_with_decode(self, delta, pcount, left, right, suffix):
+        encoded = b"\x01\x02" + encode_standard(delta, pcount, left, right, suffix)
+        node, size = StandardNode.decode(encoded, 2)
+        fields = read_standard(encoded, 2)
+        assert fields is not None
+        assert fields[:2] == (delta, pcount) and fields[5] == size == len(encoded) - 2
+        for offset, slot in zip(fields[2:5], (left, right, suffix)):
+            assert (offset and encoded[2 + offset : 7 + offset]) == (slot or 0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=100_000),
+                st.integers(min_value=0, max_value=100_000),
+            ),
+            min_size=1,
+            max_size=15,
+        ),
+        slots,
+        slots,
+        slots,
+    )
+    def test_read_chain_agrees_with_decode(self, entries, left, right, suffix):
+        encoded = encode_chain(entries, left, right, suffix)
+        deltas, pcounts, *offsets, size = read_chain(encoded, 0)
+        assert list(zip(deltas, pcounts)) == entries and size == len(encoded)
+        for offset, slot in zip(offsets, (left, right, suffix)):
+            assert (offset and encoded[offset : offset + 5]) == (slot or 0)
+        assert read_node(encoded, 0) == read_chain(encoded, 0)
+
+
+class TestErrorParity:
+    """The in-place readers and encoders raise what the object API raises."""
+
+    STANDARD_READERS = (read_standard, read_node, decode_node, StandardNode.decode)
+    CHAIN_READERS = (read_chain, read_node, decode_node, ChainNode.decode)
+
+    def _parity(self, readers, buf, expected):
+        assert {_error_type(read, buf, 0) for read in readers} == {expected}
+
+    def test_truncated_standard_payload(self):
+        encoded = StandardNode(0x123456, 0x7890, suffix=pointer_slot(9)).encode()
+        for cut in range(1, len(encoded)):
+            self._parity(self.STANDARD_READERS, encoded[:cut], CorruptBufferError)
+
+    @pytest.mark.parametrize("pcount_mask", [5, 6])
+    def test_impossible_pcount_mask(self, pcount_mask):
+        encoded = bytearray(StandardNode(1, 0, left=pointer_slot(3)).encode())
+        encoded[0] = (encoded[0] & 0b11000111) | (pcount_mask << 3)
+        self._parity(self.STANDARD_READERS, bytes(encoded), CodecError)
+
+    @pytest.mark.parametrize("length", [0, 16])
+    def test_corrupt_chain_length(self, length):
+        encoded = bytearray(ChainNode([(1, 0), (2, 0)]).encode())
+        encoded[1] = length
+        self._parity(self.CHAIN_READERS, bytes(encoded), CorruptBufferError)
+
+    def test_truncated_escape_varint(self):
+        encoded = ChainNode([(300, 5), (2, 0)]).encode()
+        for cut in range(3, 6):
+            self._parity(self.CHAIN_READERS, encoded[:cut], CorruptBufferError)
+
+    @pytest.mark.parametrize(
+        "delta,pcount",
+        [(-1, 0), (1 << 32, 0), (1, -1), (1, 1 << 32), (1, 1.5)],
+    )
+    def test_standard_field_out_of_range(self, delta, pcount):
+        assert _error_type(encode_standard, delta, pcount) is ValueOutOfRangeError
+        assert _error_type(StandardNode(delta, pcount).encode) is ValueOutOfRangeError
+
+    @pytest.mark.parametrize("length", [0, 16])
+    def test_chain_entry_count(self, length):
+        entries = [(1, 0)] * length
+        assert _error_type(encode_chain, entries) is ChainOverflowError
+        assert _error_type(ChainNode(entries).encode) is ChainOverflowError
