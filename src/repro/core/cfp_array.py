@@ -32,6 +32,7 @@ from __future__ import annotations
 import heapq
 import threading
 from array import array
+from bisect import bisect_left
 from collections import OrderedDict
 from collections.abc import Mapping
 from typing import Iterable, Iterator, Sequence, Union
@@ -273,6 +274,83 @@ class Projection(Mapping[int, list[tuple[tuple[int, ...], int]]]):
         return len(self._requested)
 
 
+class SweptPaths(Mapping[int, list[tuple[tuple[int, ...], int]]]):
+    """Prefix paths of a rank group, from :meth:`CfpArray.group_projection`.
+
+    Holds the parent link of every node the sweep met and each requested
+    rank's counts column. Node ids run in sweep order, so each rank's
+    nodes are one id range and a parent's id is below its children's. A
+    lookup builds its rank's paths: a node's path is its parent's path
+    extended by the parent's rank, one tuple per parent, shared by all of
+    its children and kept for later lookups. A lookup below every earlier
+    one drops the extended paths of the ranks in between: in the mine's
+    descending order nothing asks for them again (a later lookup that
+    does rebuilds them), so only the paths of parents below the rank
+    being mined are held, not the whole array's.
+    """
+
+    __slots__ = ("_parents", "_tails", "_first", "_counts", "_extended", "_floor")
+
+    def __init__(
+        self,
+        parents: Sequence[int],
+        tails: list[tuple[int]],
+        first: list[int],
+        counts: dict[int, Sequence[int]],
+    ) -> None:
+        self._parents = parents
+        #: Per node id: ``(rank,)``, one shared tuple per rank, so the
+        #: paths share their rank ints.
+        self._tails = tails
+        #: Per rank: the id of its first node (one past the top rank, too).
+        self._first = first
+        self._counts = counts
+        #: Per node id: its path plus its rank, once a child asked for it.
+        self._extended: list[tuple[int, ...] | None] = [None] * len(parents)
+        self._floor = len(first) - 1
+
+    def __getitem__(self, rank: int) -> list[tuple[tuple[int, ...], int]]:
+        counts = self._counts[rank]
+        first = self._first
+        extended = self._extended
+        if rank < self._floor:
+            start, end = first[rank + 1], first[self._floor]
+            extended[start:end] = [None] * (end - start)
+            self._floor = rank + 1
+        parents = self._parents
+        tails = self._tails
+        paths: list[tuple[int, ...]] = []
+        append = paths.append
+        for parent in parents[first[rank] : first[rank + 1]]:
+            if parent < 0:
+                append(())
+                continue
+            path = extended[parent]
+            if path is None:
+                # Climb to the root or to an extended ancestor, then
+                # extend back down, one tuple per node on the way.
+                chain = [parent]
+                ancestor = parents[parent]
+                while ancestor >= 0:
+                    path = extended[ancestor]
+                    if path is not None:
+                        break
+                    chain.append(ancestor)
+                    ancestor = parents[ancestor]
+                else:
+                    path = ()
+                for node in reversed(chain):
+                    path = extended[node] = path + tails[node]
+            append(path)
+        return list(zip(paths, counts))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._counts)
+
+    def __len__(self) -> int:
+        return len(self._counts)
+
+
 class CfpArray:
     """Byte-packed CFP-array with its item index.
 
@@ -284,9 +362,11 @@ class CfpArray:
     (:class:`repro.core.kernels.ConditionalArray`).
 
     ``cache_budget`` > 0 enables a byte-budgeted LRU cache of bulk-decoded
-    subarrays (:meth:`set_cache_budget`), which pays off when subarrays are
-    rescanned — as the ancestor subarrays are, many times over, during
-    conditional-tree construction in the mine phase.
+    subarrays and a memo of resolved paths (:meth:`set_cache_budget`), for
+    callers that ask for one rank's :meth:`prefix_paths` at a time and
+    revisit ancestors across calls: ``support`` queries and ``--jobs``
+    workers. The serial mine of an in-memory array reads neither; it
+    resolves every path in one :meth:`group_projection` sweep.
     """
 
     #: Class-level defaults so hand-assembled instances (``__new__`` in the
@@ -665,14 +745,60 @@ class CfpArray:
         """
         yield list(self.active_ranks_descending())
 
-    def group_projection(self, ranks: list[int]) -> Projection | None:
-        """Prefix paths of a rank group, or None to mine it rank by rank.
+    def group_projection(
+        self, ranks: list[int]
+    ) -> Mapping[int, list[tuple[tuple[int, ...], int]]] | None:
+        """Prefix paths of a rank group, from one ascending sweep.
 
-        Uncached, one :meth:`project` sweep decodes each subarray once;
-        cached, :meth:`prefix_paths` already walks each node once through
-        the path memo, which a projection would only duplicate.
+        A parent always sits at a lower rank (§3.4), so one sweep up the
+        ranks, lowest first, meets every parent before its children. Each
+        subarray up to the group's highest rank is decoded once, straight
+        from the buffer and never through the decoded-subarray cache, and
+        each node's parent is found by its offset among its rank's node
+        starts. The result (:class:`SweptPaths`) takes each node's path as
+        its parent's path plus the parent's rank as the ranks are mined:
+        ``group_projection(ranks)[r] == prefix_paths(r)`` for every rank of
+        the group. A ``dpos`` that lands mid-node, or a ``delta_item`` that
+        does not point to a lower rank, raises :class:`TreeError`, as
+        :meth:`project` does.
         """
-        return None if self._cache is not None else self.project(ranks)
+        buffer = self.buffer
+        starts = self.starts
+        targets = set(ranks)
+        top = max(targets, default=0)
+        parents = array("q")  # per node id; -1 under the root
+        tails: list[tuple[int]] = []
+        first = [0] * (top + 2)
+        locals_of: list[Sequence[int]] = [()]  # per swept rank: node starts
+        counts_of: dict[int, Sequence[int]] = {}
+        for rank in range(1, top + 1):
+            first[rank] = len(parents)
+            locals_col, delta_items, dposes, counts = varint.decode_triples_columns(
+                buffer, starts[rank], starts[rank + 1]
+            )
+            append = parents.append
+            for local, delta_item, dpos in zip(locals_col, delta_items, dposes):
+                parent_rank = rank - delta_item
+                if parent_rank == 0:
+                    append(-1)
+                    continue
+                if not 0 < parent_rank < rank:
+                    raise _not_lower_rank(rank, local, parent_rank)
+                parent_local = local - dpos
+                above = locals_of[parent_rank]
+                index = bisect_left(above, parent_local)
+                if index == len(above) or above[index] != parent_local:
+                    raise TreeError(
+                        f"dpos chain from rank {rank} lands at rank "
+                        f"{parent_rank} local {parent_local}, not a node start"
+                    )
+                append(first[parent_rank] + index)
+            tails.extend([(rank,)] * len(locals_col))
+            locals_of.append(locals_col)
+            if rank in targets:
+                counts_of[rank] = counts
+        first[top + 1] = len(parents)
+        return SweptPaths(parents, tails, first, counts_of)
 
     def single_path(self) -> list[tuple[int, int]] | None:
         """The array's single path as ``(rank, count)`` pairs, or None.

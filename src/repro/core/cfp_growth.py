@@ -7,12 +7,13 @@ The algorithm is FP-growth with both phases re-based on the CFP structures:
    immediately afterwards so its memory can serve the mine phase (§3.5).
 3. **Mine** — one loop, :func:`mine_array`, for every reader. Items are
    processed least frequent first, in the rank groups the array
-   schedules (one per partition of a paged store). For each item of the
-   top-level array, the prefix paths are resolved by backward traversal
-   in the CFP-array; a *conditional* CFP-array is sized from them, node
-   for node as ``convert`` would lay it out, and mined recursively from
-   the prefix paths its builder recorded while sizing it
-   (:class:`repro.core.kernels.ConditionalArray`): no conditional's
+   schedules (one per partition of a paged store). The prefix paths of
+   the top-level array's items come from its parent links: in memory,
+   one ascending sweep resolves them all; a paged store projects each
+   partition. For each item a *conditional* CFP-array is sized from its
+   paths, node for node as ``convert`` would lay it out, and mined
+   recursively from the prefix paths its builder recorded while sizing
+   it (:class:`repro.core.kernels.ConditionalArray`): no conditional's
    bytes are written or read. Conditionals that degenerate to a single
    path are enumerated directly without an array.
 
@@ -95,10 +96,12 @@ def mine_array(
     The one mine loop, for every reader. The array schedules its active
     ranks, least frequent first, in groups (:meth:`CfpArray.rank_groups`:
     one in memory, one per partition of a paged store) and each group is
-    mined from one projection (:meth:`CfpArray.group_projection`), or
-    rank by rank where that is None: cached arrays and
-    :class:`repro.storage.DiskCfpArray`. Each rank's conditional is
-    mined by :func:`mine_rank` from the paths its builder recorded.
+    mined from one projection (:meth:`CfpArray.group_projection`: an
+    ascending sweep in memory, cache budget or not, and a descending
+    :meth:`CfpArray.project` per partition), or rank by rank where that
+    is None: cached paged stores and :class:`repro.storage.DiskCfpArray`.
+    Each rank's conditional is mined by :func:`mine_rank` from the paths
+    its builder recorded.
 
     With a tracer installed (:func:`repro.obs.set_tracer`) the *top-level*
     loop (``suffix == ()``) runs each rank through :func:`mine_rank_span`:
@@ -192,8 +195,9 @@ def mine_rank(
     holds every rank's paths, so it has no groups to schedule.
 
     ``paths`` are the rank's prefix paths when the caller has already
-    projected them (:meth:`CfpArray.project`); the rank's support is then
-    the sum of their counts, and the rank's subarray is not read again.
+    projected them (:meth:`CfpArray.group_projection`); the rank's
+    support is then the sum of their counts, and the rank's subarray is
+    not read again.
     """
     if paths is None:
         support = array.rank_support(rank)
@@ -273,7 +277,7 @@ def _conditional_struct(
     if chain is not None:
         return chain, None
     cond_array = kernels.build_conditional_array(
-        sorted(aggregated.items()), array.n_ranks
+        sorted(aggregated.items()), array.n_ranks, counts
     )
     if meter is not None:
         meter.on_structure_built(cond_array.memory_bytes)
@@ -317,13 +321,14 @@ def _conditional_tree_reference(
     return conditional
 
 
-#: Default byte budget of the decoded-subarray LRU cache the mine phase
-#: enables on the top-level CFP-array it mines (see docs/performance.md;
-#: conditionals have no bytes to decode).
-#: Rebased from 1 MiB when the cache switched to charging *decoded*
-#: column bytes (the honest residency, ~6-8× the encoded length): 8 MiB
-#: decoded keeps at least the working set the old encoded-byte budget
-#: effectively cached.
+#: Default byte budget of the decoded-subarray LRU cache, for the readers
+#: that resolve one rank's prefix paths at a time: ``--jobs`` workers
+#: (:func:`mine_rank_transactions` gives a ``jobs > 1`` array this budget)
+#: and the serving store's paged array. The serial in-memory mine sweeps
+#: its array without it (see docs/performance.md; conditionals have no
+#: bytes to decode). Rebased from 1 MiB when the cache switched to
+#: charging *decoded* column bytes (the honest residency, ~6-8× the
+#: encoded length).
 DEFAULT_CACHE_BUDGET = 8 << 20
 
 
@@ -340,9 +345,11 @@ def mine_rank_transactions(
     """Full CFP-growth over prepared rank transactions; returns the collector.
 
     ``jobs > 1`` fans the top-level mine loop out to a shared-memory worker
-    pool (:mod:`repro.core.parallel`); output is byte-identical to the
-    serial run for any worker count. ``jobs=1`` is the unchanged serial
-    path with its full Meter instrumentation.
+    pool (:mod:`repro.core.parallel`), whose workers resolve each rank's
+    paths through a decoded-subarray cache of ``cache_budget`` bytes;
+    output is byte-identical to the serial run for any worker count.
+    ``jobs=1`` is the serial path with its full Meter instrumentation,
+    and mines its array without a cache.
 
     ``build_jobs > 1`` shards the build phase by leading rank
     (:func:`repro.core.build_parallel.build_tree_parallel`) and merges
@@ -363,7 +370,6 @@ def mine_rank_transactions(
             # Sequential fractions as in repro.experiments.drivers.
             meter.begin_phase("build", 0.2)
         array = build_tree_parallel(transactions, n_ranks, jobs=build_jobs)
-        array.set_cache_budget(cache_budget)
         path = array.single_path()
         if path is not None:
             if path:
@@ -394,7 +400,6 @@ def mine_rank_transactions(
         with obs.maybe_span("convert") as span:
             before = _meter_counts(meter) if meter is not None else None
             array = convert(tree)
-            array.set_cache_budget(cache_budget)
             if meter is not None:
                 meter.on_conversion(tree, array)
                 _attach_meter_delta(span, meter, before)  # type: ignore[arg-type]
@@ -407,6 +412,7 @@ def mine_rank_transactions(
     if jobs > 1:
         from repro.core.parallel import mine_array_parallel
 
+        array.set_cache_budget(cache_budget)
         mine_array_parallel(array, min_support, collector, (), meter, jobs=jobs)
     else:
         mine_array(array, min_support, collector, (), meter)

@@ -29,12 +29,13 @@ of pointer chasing):
   the mine reads of a conditional.
 
 The kernels are backend-neutral: they consume plain-int path tuples,
-from the memoized :meth:`CfpArray.prefix_paths`, a
-:class:`~repro.core.cfp_array.Projection` or a conditional's recorded
-paths, whether the subarrays underneath were decoded by the stdlib
-``array('q')`` kernel or the optional vectorized numpy one
-(:mod:`repro.compress.varint`). They change how fast the answer is
-computed, never the answer — the identity suites in
+from the memoized :meth:`CfpArray.prefix_paths`, an in-memory array's
+ascending sweep (:class:`~repro.core.cfp_array.SweptPaths`), a paged
+partition's :class:`~repro.core.cfp_array.Projection` or a
+conditional's recorded paths, whether the subarrays underneath were
+decoded by the stdlib ``array('q')`` kernel or the optional vectorized
+numpy one (:mod:`repro.compress.varint`). They change how fast the
+answer is computed, never the answer — the identity suites in
 ``tests/core/test_kernels_identity.py`` hold them to the retained
 reference implementation: the same single-path verdicts, and the same
 sizes and prefix paths as ``convert`` of the reference tree.
@@ -166,10 +167,15 @@ class ConditionalArray:
     The read surface is the one the mine uses on a
     :class:`~repro.core.cfp_array.CfpArray`:
     :meth:`active_ranks_descending`, :meth:`rank_support` and
-    :meth:`prefix_paths`.
+    :meth:`prefix_paths`. Each rank's support is the caller's counts
+    column entry (:func:`conditional_counts` of the paths the conditional
+    was built from): filtering keeps a frequent rank on every path that
+    held it, so its nodes' counts sum to exactly that entry.
     """
 
-    __slots__ = ("n_ranks", "starts", "node_count", "memory_bytes", "_paths")
+    __slots__ = (
+        "n_ranks", "starts", "node_count", "memory_bytes", "_paths", "_supports"
+    )
 
     def __init__(
         self,
@@ -177,6 +183,7 @@ class ConditionalArray:
         starts: list[int],
         node_count: int,
         paths: dict[int, list[tuple[tuple[int, ...], int]]],
+        supports: Sequence[int],
     ) -> None:
         self.n_ranks = n_ranks
         #: The encoded array's item index (:attr:`CfpArray.starts`).
@@ -185,6 +192,7 @@ class ConditionalArray:
         #: Buffer bytes plus the item index, as :attr:`CfpArray.memory_bytes`.
         self.memory_bytes = starts[-1] + (n_ranks + 1) * POINTER_SIZE
         self._paths = paths
+        self._supports = supports
 
     def active_ranks_descending(self) -> list[int]:
         """Ranks with at least one node, least frequent first."""
@@ -199,18 +207,22 @@ class ConditionalArray:
 
     def rank_support(self, rank: int) -> int:
         """The rank's support: the sum of its nodes' counts."""
-        return sum([count for __, count in self._paths[rank]])
+        return self._supports[rank]
 
 
 def build_conditional_array(
-    ordered: Sequence[tuple[tuple[int, ...], int]], n_ranks: int
+    ordered: Sequence[tuple[tuple[int, ...], int]],
+    n_ranks: int,
+    supports: Sequence[int],
 ) -> ConditionalArray:
     """Size the conditional CFP-array of sorted aggregated paths.
 
     ``ordered`` must be the distinct filtered paths in ascending
     lexicographic order (``sorted(filter_aggregate(...).items())``), each
-    with its total count. Lexicographic order *is* the DFS preorder of
-    the conditional trie with ascending-rank siblings — the exact order
+    with its total count, and ``supports`` the counts column they were
+    filtered by, which becomes the conditional's rank supports.
+    Lexicographic order *is* the DFS preorder of the conditional trie
+    with ascending-rank siblings — the exact order
     :func:`repro.core.conversion.flatten_subtrees` walks the ternary tree
     — so a longest-common-prefix walk over the sorted paths reproduces
     the flattened ``(ranks, parents, counts)`` arrays node for node, and
@@ -231,7 +243,10 @@ def build_conditional_array(
     and scanning empty ranks than sizing — only the ``starts`` table,
     dense as a :class:`~repro.core.cfp_array.CfpArray`'s so the mine reads
     a subarray's size the same way from either, is built full-width (via
-    a C-speed ``accumulate``).
+    a C-speed ``accumulate``). A triple whose three fields each encode in
+    one byte, the common case, is sized inline; any other goes through
+    :func:`repro.compress.varint.triple_size`, which raises
+    :class:`~repro.errors.ValueOutOfRangeError` for a field out of range.
 
     Each node's prefix is the slice of the path that created it above
     the node's depth, and storage order within a rank is preorder, so
@@ -279,13 +294,17 @@ def build_conditional_array(
             paths[rank].append((prefixes[node], count))
         locals_[node] = local
         if parent < 0:
-            size = tsize(rank, 0, count)
+            delta_item, dpos = rank, 0
         else:
-            size = tsize(rank - node_ranks[parent], local - locals_[parent], count)
-        cursors[rank] = local + size
+            delta_item = rank - node_ranks[parent]
+            dpos = local - locals_[parent]
+        if 0 <= delta_item < 0x80 and -0x40 <= dpos < 0x40 and 0 <= count < 0x80:
+            cursors[rank] = local + 3
+        else:
+            cursors[rank] = local + tsize(delta_item, dpos, count)
     sizes_gaps = [0] * (n_ranks + 2)  # per-rank sizes, shifted +1
     for rank, size in cursors.items():
         sizes_gaps[rank + 1] = size
     return ConditionalArray(
-        n_ranks, list(accumulate(sizes_gaps)), len(node_ranks), paths
+        n_ranks, list(accumulate(sizes_gaps)), len(node_ranks), paths, supports
     )

@@ -65,6 +65,17 @@ from repro.obs import get_tracer, metrics
 from repro.memman.arena import MIN_CHUNK_SIZE
 from repro.memman.pointers import POINTER_SIZE
 
+#: A batched insert's resume point at one depth: ``(slot, base, bound)``
+#: (see :meth:`TernaryCfpTree.insert_batch`).
+TrailEntry = tuple[int, int, int | None]
+
+
+def _within_bound(entry: TrailEntry | None, rank: int) -> bool:
+    """Whether a search for ``rank`` from the entry's BST root passes it."""
+    assert entry is not None
+    __, base, bound = entry
+    return bound is None or rank - base < bound
+
 
 @dataclass
 class PhysicalStats:
@@ -217,17 +228,24 @@ class TernaryCfpTree:
         first divergent rank. Sorted order makes the resume O(1) even in
         degenerate sibling BSTs: the divergent rank is always >= the
         recorded node's rank, so the search continues below it rather than
-        re-walking the sibling BST from its root. Trail entries below a
-        mutated depth are discarded — a resize there may have relocated the
-        chunks they point into (see :meth:`_replace`); sorting is mandatory
-        for the same reason (a smaller rank would resume into the wrong
-        BST subtree). At depth 0 an insert whose first rank repeats resumes
-        at ``trail[0]``, the very node a search from the root finds; a new
-        first rank resumes at the *finger*, the end of the longest run of
-        right moves any earlier search of the batch made from the root,
-        which every larger rank's search also passes through. Neither
-        changes where a search ends, so the arena is byte-identical to
-        one searched from the root.
+        re-walking the sibling BST from its root. That is only where a
+        search from the BST's root would pass, so each trail entry also
+        records the node's *bound*: the smallest key at which a search from
+        the root turned left on its way there (None on the BST's right
+        spine). A divergent rank at or past the bound, which keys left by
+        an earlier batch can cause, resumes one depth higher instead, at
+        the matched parent, and searches its sibling BST from the root.
+        Trail entries below a mutated depth are discarded — a resize there
+        may have relocated the chunks they point into (see
+        :meth:`_replace`); sorting is mandatory for the same reason (a
+        smaller rank would resume into the wrong BST subtree). At depth 0
+        an insert whose first rank repeats resumes at ``trail[0]``, the
+        very node a search from the root finds; a new first rank resumes
+        at the *finger*, the end of the longest run of right moves any
+        earlier search of the batch made from the root, which every larger
+        rank's search also passes through. None of these changes where a
+        search ends, so the arena is byte-identical to one searched from
+        the root.
 
         The whole batch is validated (as in :meth:`insert`) before the
         first transaction is inserted, so a rejected batch leaves the tree
@@ -235,9 +253,9 @@ class TernaryCfpTree:
 
         Returns the number of non-empty transactions inserted. The logical
         tree is identical to per-transaction :meth:`insert` calls in any
-        order (and so is the converted CFP-array); the physical arena
-        layout may differ, because insertion order steers chain and sibling
-        creation.
+        order, over any number of batches (and so is the converted
+        CFP-array); the physical arena layout may differ, because insertion
+        order steers chain and sibling creation.
         """
         txns = list(transactions)
         weights: list[int] | None = None
@@ -260,7 +278,7 @@ class TernaryCfpTree:
                 order = sorted(range(len(txns)), key=txns.__getitem__)
                 txns = [txns[k] for k in order]
                 weights = [weights[k] for k in order]
-        trail: list[tuple[int, int] | None] = [None]
+        trail: list[TrailEntry | None] = [None]
         finger = [self._root_slot]
         prev: list[int] = []
         valid = 0  # trail[:valid] may be resumed
@@ -278,14 +296,18 @@ class TernaryCfpTree:
             while lcp < limit and prev[lcp] == ranks[lcp]:
                 lcp += 1
             resume = min(lcp, valid - 1, n - 1)
-            while resume > 0 and trail[resume] is None:
+            while resume > 0 and (
+                trail[resume] is None
+                or resume == lcp
+                and not _within_bound(trail[resume], ranks[resume])
+            ):
                 resume -= 1
             if len(trail) <= n:
                 trail.extend([None] * (n + 1 - len(trail)))
             if resume > 0:
                 entry = trail[resume]
                 assert entry is not None
-                slot, base = entry
+                slot, base, bound = entry
                 self.prefix_skip_hits += 1
                 self.prefix_skip_levels += resume
             else:
@@ -294,10 +316,12 @@ class TernaryCfpTree:
                     # Same first rank: its depth-0 node hangs off trail[0].
                     entry = trail[0]
                     assert entry is not None
-                    slot, base = entry
+                    slot, base, bound = entry
                 else:
-                    slot, base = finger[0], 0
-            stop = self._insert_from(ranks, count, slot, base, resume, trail, finger)
+                    slot, base, bound = finger[0], 0, None
+            stop = self._insert_from(
+                ranks, count, slot, base, resume, trail, finger, bound
+            )
             valid = stop + 1
             prev = ranks
         # Metric publication is gated on an installed tracer, like every
@@ -336,18 +360,21 @@ class TernaryCfpTree:
         slot: int,
         base: int,
         i: int,
-        trail: list[tuple[int, int] | None] | None,
+        trail: list[TrailEntry | None] | None,
         finger: list[int] | None = None,
+        bound: int | None = None,
     ) -> int:
         """Run the §3.3 insert descent for ``ranks[i:]`` starting at ``slot``.
 
         ``slot`` must reference a position in the sibling BST of depth ``i``
         (the root slot, a suffix slot, or a left/right slot) with ``base``
-        the depth ``i-1`` rank on the path. When ``trail`` is given, the
-        slot found referencing this transaction's node at each depth is
-        recorded at ``trail[depth]`` as ``(slot, base)``; depths interior to
-        a chain chunk get ``None`` (there is no per-depth slot to resume at
-        inside a chain).
+        the depth ``i-1`` rank on the path, and ``bound`` the smallest key
+        at which a search from the BST's root turns left on its way to
+        ``slot`` (None if it never does). When ``trail`` is given, the slot
+        found referencing this transaction's node at each depth is
+        recorded at ``trail[depth]`` as ``(slot, base, bound)``; depths
+        interior to a chain chunk get ``None`` (there is no per-depth slot
+        to resume at inside a chain).
 
         ``finger`` (a one-slot list) is the depth-0 search's resume point
         in a sorted batch: the slot reached by the longest run of right
@@ -374,7 +401,7 @@ class TernaryCfpTree:
                 content = self._build_path(ranks, i, base, count)
                 self._write_slot(slot, content)
                 if trail is not None:
-                    trail[i] = (slot, base)
+                    trail[i] = (slot, base, bound)
                 return i
             if target >= EMBEDDED_FLOOR:
                 leaf_delta, leaf_pcount = embedded_fields(target)
@@ -387,7 +414,7 @@ class TernaryCfpTree:
                         content = pointer_slot(self._store(data))
                     self._write_slot(slot, content)
                     if trail is not None:
-                        trail[i] = (slot, base)
+                        trail[i] = (slot, base, bound)
                     return i
                 # The leaf gains a child or a sibling: promote to standard.
                 data = encode_standard(leaf_delta, leaf_pcount)
@@ -400,6 +427,8 @@ class TernaryCfpTree:
                 # Sibling navigation (a chain's siblings hang off its first
                 # entry): the left slot is field 2, the right field 3.
                 side = 2 if delta < node_delta else 3
+                if side == 2:
+                    bound = node_delta
                 if fields[side]:
                     next_slot = target + fields[side]
                     if side == 3 and finger is not None and slot == finger[0]:
@@ -414,22 +443,25 @@ class TernaryCfpTree:
                     node.right = content
                 new_addr = self._replace(slot, target, fields[5], node.encode())
                 if trail is not None:
-                    trail[i] = (new_addr + read_node(buf, new_addr)[side], base)
+                    new_slot = new_addr + read_node(buf, new_addr)[side]
+                    trail[i] = (new_slot, base, bound)
                 return i
             if trail is not None:
-                trail[i] = (slot, base)
+                trail[i] = (slot, base, bound)
             if chain:
                 chain_depth = i
                 result = self._step_chain(slot, target, fields, ranks, i, count, trail)
                 if result is None:
                     return chain_depth
                 slot, base, i = result
+                bound = None
                 continue
             __, pcount, __, __, suffix, size = fields
             if i < n - 1 and suffix:
                 slot = target + suffix
                 base = ranks[i]
                 i += 1
+                bound = None
                 continue
             if i == n - 1:
                 # The transaction ends here: add its count to the node's.
@@ -449,7 +481,7 @@ class TernaryCfpTree:
         ranks: list[int],
         i: int,
         count: int,
-        trail: list[tuple[int, int] | None] | None = None,
+        trail: list[TrailEntry | None] | None = None,
     ) -> tuple[int, int, int] | None:
         """Walk an insert along the chain at ``addr`` from its first entry.
 

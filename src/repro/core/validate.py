@@ -10,6 +10,7 @@ checks every invariant of the §3.3 layout:
 * chain lengths lie within 1..max, escape entries are only used when the
   fast path cannot represent them,
 * delta_item >= 1 everywhere; reconstructed ranks stay within ``n_ranks``,
+* every sibling BST is in order: unique ranks, smaller ones to the left,
 * the sum of pcounts equals the tree's transaction count.
 
 Returns a :class:`ValidationReport`; raises nothing for an intact tree.
@@ -77,14 +78,24 @@ def validate_tree(tree: TernaryCfpTree, strict: bool = True) -> ValidationReport
         if pcount < 0:
             issue(f"negative pcount {pcount}")
 
+    def check_order(base_rank: int, low: int, high: int | None, key: int) -> None:
+        if key <= low or (high is not None and key >= high):
+            below = "" if high is None else f" and below {base_rank + high}"
+            issue(
+                f"sibling rank {base_rank + key} out of BST order: its "
+                f"place needs a rank above {base_rank + low}{below}"
+            )
+
     # Iterative walk (sibling BSTs can degenerate to long left/right
-    # chains, so recursion is unsafe). Stack holds (raw_slot, base, depth).
-    stack: list[tuple[bytes, int, int]] = []
+    # chains, so recursion is unsafe). Stack holds (raw_slot, base, depth,
+    # low, high): the slot's BST key (its delta_item) must lie strictly
+    # between the keys of the ancestors its sibling BST descended through.
+    stack: list[tuple[bytes, int, int, int, int | None]] = []
     root_raw = read_slot(buf, tree._root_slot)
     if root_raw != codec.NULL_SLOT:
-        stack.append((root_raw, 0, 1))
+        stack.append((root_raw, 0, 1, 0, None))
     while stack:
-        raw, base_rank, depth = stack.pop()
+        raw, base_rank, depth, low, high = stack.pop()
         if raw == codec.NULL_SLOT:
             issue(f"stored slot is null at depth {depth} (presence-bit violation)")
             continue
@@ -95,6 +106,7 @@ def validate_tree(tree: TernaryCfpTree, strict: bool = True) -> ValidationReport
                 issue(f"embedded leaf with delta_item {delta_item} < 1")
             if pcount < 1:
                 issue("embedded leaf with pcount 0 represents nothing")
+            check_order(base_rank, low, high, delta_item)
             count_logical(base_rank + delta_item, pcount)
             report.embedded_leaves += 1
             continue
@@ -113,6 +125,7 @@ def validate_tree(tree: TernaryCfpTree, strict: bool = True) -> ValidationReport
             continue
         if isinstance(node, ChainNode):
             report.chain_nodes += 1
+            key = node.entries[0][0]
             if not 1 <= len(node.entries) <= tree.max_chain_length:
                 issue(
                     f"chain at {address:#x} has {len(node.entries)} entries "
@@ -135,6 +148,7 @@ def validate_tree(tree: TernaryCfpTree, strict: bool = True) -> ValidationReport
             suffix_depth = depth + len(node.entries)
         else:
             report.standard_nodes += 1
+            key = node.delta_item
             if node.delta_item < 1:
                 issue(
                     f"standard node at {address:#x} has delta_item "
@@ -158,12 +172,13 @@ def validate_tree(tree: TernaryCfpTree, strict: bool = True) -> ValidationReport
             count_logical(rank, node.pcount)
             suffix_base = rank
             suffix_depth = depth + 1
+        check_order(base_rank, low, high, key)
         if node.left is not None:
-            stack.append((node.left, base_rank, depth))
+            stack.append((node.left, base_rank, depth, low, key))
         if node.right is not None:
-            stack.append((node.right, base_rank, depth))
+            stack.append((node.right, base_rank, depth, key, high))
         if node.suffix is not None:
-            stack.append((node.suffix, suffix_base, suffix_depth))
+            stack.append((node.suffix, suffix_base, suffix_depth, 0, None))
 
     if report.logical_nodes != tree.logical_node_count:
         issue(

@@ -48,10 +48,6 @@ class ChainOverflowError(TreeError):
     """A chain node exceeded the configured maximum chain length."""
 
 
-class ConversionError(TreeError):
-    """CFP-tree to CFP-array conversion failed an internal consistency check."""
-
-
 class ParallelMineError(ReproError):
     """The parallel mine phase lost its worker pool or shared-memory segment."""
 

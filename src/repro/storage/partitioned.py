@@ -43,6 +43,7 @@ from repro.compress import varint
 from repro.core.cfp_array import (
     CfpArray,
     DecodedSubarray,
+    Projection,
     Triple,
     _not_lower_rank,
     _SubarrayCache,
@@ -179,6 +180,16 @@ class PartitionedCfpArray(CfpArray):
                 for rank in range(part.last_rank, part.first_rank - 1, -1)
                 if starts[rank + 1] > starts[rank]
             ]
+
+    def group_projection(self, ranks: list[int]) -> Projection | None:
+        """A partition's prefix paths, or None to mine it rank by rank.
+
+        Uncached, one descending :meth:`project` sweep reads the
+        partition and its ancestor subarrays in descending file order;
+        cached, :meth:`prefix_paths` already walks each node once through
+        the path memo, which a projection would only duplicate.
+        """
+        return None if self._cache is not None else self.project(ranks)
 
     def begin_partition(self, index: int) -> None:
         """Announce that partition ``index`` is about to be mined.

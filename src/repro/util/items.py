@@ -77,7 +77,7 @@ class ItemTable:
 
     def ranks_to_items(self, ranks: Iterable[int]) -> tuple:
         """Translate a rank itemset back to original items."""
-        return tuple(self.item_of[rank] for rank in ranks)
+        return tuple(map(self.item_of.__getitem__, ranks))
 
     def fingerprint(self) -> str:
         """Content hash identifying the table's exact rank assignment.

@@ -117,7 +117,10 @@ def _build(kind: str, config: dict, n_ranks: int, transactions) -> TernaryCfpTre
     return tree
 
 
-#: Digests computed at commit fd48629; see the module docstring.
+#: Digests computed at commit fd48629; see the module docstring. The one
+#: exception is ``stream/resumed``, recomputed when batched inserts stopped
+#: resuming sibling searches past earlier batches' keys (see
+#: :func:`test_streaming_checkpoint_resume`).
 GOLDEN: dict[str, str] = {
     "default/paper/batch": "0c43f311076b3b8cd38d72e68684bbbadf1ac35d50f04cb2dc061ce7b029079b",
     "default/paper/weighted": "4f6878f3ddd75954a635cb1b0470d6dfb981d68d08bcdd6dd41a00c94526409a",
@@ -199,7 +202,7 @@ GOLDEN: dict[str, str] = {
     "no-embedding/widths": "548b2a710d8e2a4b56a102f46d5cb5d28a8d376578434f62421365929eb68953",
     "chain-1/widths": "76094724c884cf75d11fd2a9eb22ef02c70c5b5a4e4476497ae4178ce872674b",
     "chain-4/widths": "0b53a7af3dfc41231dcf68e6634cc37ed385111cda2e2d42d8bcf50ef96dfcae",
-    "stream/resumed": "de401ed3f7b7a056324071d2a267a3ec2638cba0de7be55e1362c964ee9e5a45",
+    "stream/resumed": "7a9f4584a5f6ceb8146c7697dd07391e76621cbca1cbcb5b878d1b6ecbb5a2ec",
     "parallel/jobs-2": "5c923ea833b540d51786d6fcf9e45b107e900acfbad60d437840109aed23094c",
 }
 
@@ -231,11 +234,13 @@ def test_pcount_crosses_every_width(config):
 
 
 def test_streaming_checkpoint_resume(tmp_path):
-    # This digest also pins a defect: a sorted batch inserted into a tree
-    # that already holds nodes can resume a sibling search past keys an
-    # earlier batch placed, leaving siblings out of rank order (this tree
-    # has ten such sibling lists and a duplicated sibling). Mending that
-    # changes these bytes, and this one digest with them.
+    # Up to commit eb5d8d2 this digest pinned a defect: a sorted batch
+    # inserted into a tree that already held nodes could resume a sibling
+    # search past keys an earlier batch placed, leaving siblings out of
+    # rank order (this tree had ten such sibling lists and a duplicated
+    # sibling). The digest was recomputed with the mend; the tree now
+    # validates and converts to the one-shot build's array
+    # (tests/core/test_batched_builds.py).
     database = random_database(11, 150, 25, 14)
     counting = CountingPhase()
     counting.add_batch(database)

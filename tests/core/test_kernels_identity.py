@@ -333,7 +333,9 @@ class TestKernelUnits:
         tree = TernaryCfpTree(N_RANKS)
         for path, count in aggregated.items():
             tree.insert(list(path), count)
-        got = kernels.build_conditional_array(sorted(aggregated.items()), N_RANKS)
+        ordered = sorted(aggregated.items())
+        supports = kernels.conditional_counts(ordered, N_RANKS)
+        got = kernels.build_conditional_array(ordered, N_RANKS, supports)
         assert_conditional_matches(got, convert(tree))
 
     def test_backend_reports_a_known_kernel(self):

@@ -55,6 +55,14 @@ class TernaryCfpMachine(RuleBasedStateMachine):
         self.tree.insert(prefix)
         self.model.insert(prefix)
 
+    @rule(batch=st.lists(transactions, min_size=1, max_size=6))
+    def insert_batch(self, batch):
+        """A later batch resumes sibling searches past earlier batches' keys."""
+        self.tree.insert_batch(batch)
+        for ranks in batch:
+            self.model.insert(ranks)
+        self.inserted.extend(batch)
+
     @invariant()
     def byte_structure_validates(self):
         report = validate_tree(self.tree)

@@ -193,7 +193,9 @@ class TestReconciliation:
         assert shape(first) == shape(second)
 
     def test_registry_collects_cache_counters(self, prepared):
-        _traced_run(prepared, 1)
+        # A serial in-memory mine sweeps its array without the cache;
+        # --jobs workers still resolve each rank through the cached walk.
+        _traced_run(prepared, 2)
         counters = obs.metrics.counters()
         assert counters.get("subarray_cache.hits", 0) > 0
 
