@@ -2,12 +2,13 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compress import varint
 from repro.core.cfp_array import CfpArray
-from repro.core.conversion import convert, cumulative_counts
+from repro.core.conversion import Layout, convert, cumulative_counts, splice_subtree
 from repro.core.ternary import TernaryCfpTree
-from repro.errors import TreeError
+from repro.errors import TreeError, ValueOutOfRangeError
 from repro.fptree import FPTree
 from repro.util.items import prepare_transactions
 from tests.conftest import db_strategy, random_database
@@ -65,6 +66,66 @@ class TestConversionStructure:
         counts = cumulative_counts(tree)
         # DFS preorder: rank1 (count 3), rank2 (count 2), rank3 (count 1).
         assert counts == [3, 2, 1]
+
+
+class TestSpliceSubtree:
+    """The placement pass: triples appended to their ranks' subarrays."""
+
+    @staticmethod
+    def _expected(ranks, parents, counts, subarrays):
+        # The two-pass walk it replaces: size each node at its rank's
+        # cursor, then encode the queued triples.
+        cursors = [len(subarray) for subarray in subarrays]
+        locals_ = []
+        triples = [[] for __ in subarrays]
+        for rank, parent, count in zip(ranks, parents, counts):
+            local = cursors[rank]
+            locals_.append(local)
+            if parent < 0:
+                triple = (rank, 0, count)
+            else:
+                triple = (rank - ranks[parent], local - locals_[parent], count)
+            cursors[rank] += varint.triple_size(*triple)
+            triples[rank].append(triple)
+        out = []
+        for subarray, queued in zip(subarrays, triples):
+            buf = bytearray(sum(varint.triple_size(*t) for t in queued))
+            varint.encode_triples(buf, 0, queued)
+            out.append(bytes(subarray) + bytes(buf))
+        return out
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=6),
+                st.sampled_from([1, 127, 128, 4095, 4096, 1 << 20, 1 << 40]),
+            ),
+            min_size=1,
+            max_size=25,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_two_pass_walk(self, steps, rng):
+        # A random preorder: each node hangs under an earlier node of a
+        # lower rank (or under the root), with counts of every width.
+        ranks, parents, counts = [], [], []
+        for rank, count in steps:
+            lower = [i for i, r in enumerate(ranks) if r < rank]
+            parents.append(rng.choice(lower + [-1]) if lower else -1)
+            ranks.append(rank)
+            counts.append(count)
+        layout = Layout(6)
+        layout.subarrays = [bytearray(b"\x01\x00\x01" * (r % 3)) for r in range(7)]
+        want = self._expected(ranks, parents, counts, layout.subarrays)
+        splice_subtree(layout, ranks, parents, counts)
+        assert [bytes(subarray) for subarray in layout.subarrays] == want
+        assert layout.nodes == len(ranks)
+
+    def test_out_of_range_fields_raise(self):
+        with pytest.raises(ValueOutOfRangeError):
+            splice_subtree(Layout(2), [2], [-1], [varint.MAX_VALUE + 1])
+        with pytest.raises(ValueOutOfRangeError):
+            splice_subtree(Layout(2), [1, 2, 1], [-1, 0, 1], [3, 2, 1])
 
 
 class TestBackwardTraversal:
