@@ -506,13 +506,16 @@ def _time_queries(run_one, querysets: list[list[int]], repeats: int) -> float:
 
 
 def _support_kernel_compare(store, n_queries: int = 32, repeats: int = 3) -> dict:
-    """Columnar vs per-node support timing over the store's top itemsets.
+    """Support query vs per-node walk timing over the store's top itemsets.
 
     Queries are the store's ``n_queries`` highest-support itemsets of
     length >= 2 (singletons short-circuit to a column sum and would
     measure nothing). Both kernels answer every query once per repeat on
     the same pooled array; a disagreement raises — the comparison doubles
-    as a parity check on the reference walk.
+    as a parity check on the reference walk. ``top_k`` mines the store's
+    pattern index first, which fills the array's path memo, so the
+    ``support_columnar_s`` side times queries answered from memoized
+    paths, not the header walk of a cold store.
     """
     from repro.util.queries import support_in_cfp_array
 

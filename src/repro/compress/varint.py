@@ -195,21 +195,65 @@ def count_triples(buf: Buffer, start: int, end: int) -> int:
     the terminator count is not a multiple of three.
     """
     _check_bounds(buf, start, end)
-    view = memoryview(buf)[start:end]
-    data = view.tobytes()
-    if not data:
-        return 0
-    if data[-1] >= 0x80:
+    return terminator_map(memoryview(buf)[start:end].tobytes(), start).count(1) // 3
+
+
+def terminator_map(data: bytes, start: int = 0) -> bytes:
+    """Where the varints of one encoded subarray end: 1 at a terminator.
+
+    A byte string as long as ``data``, built by one C-speed table
+    translation. :func:`node_header` finds node starts in it. ``start``
+    (the subarray's offset in a larger buffer) only places error
+    messages.
+
+    Raises :class:`CorruptBufferError` when ``data`` ends mid-varint or
+    holds a number of varints that is not a multiple of three.
+    """
+    end = start + len(data)
+    if data and data[-1] >= 0x80:
         raise CorruptBufferError(
             f"varint truncated at offset {end} (started inside [{start}, {end}))"
         )
-    terminators = data.translate(_TERMINATOR_TABLE).count(1)
-    if terminators % 3:
+    terminators = data.translate(_TERMINATOR_TABLE)
+    varints = terminators.count(1)
+    if varints % 3:
         raise CorruptBufferError(
-            f"subarray [{start}, {end}) holds {terminators} varints, "
+            f"subarray [{start}, {end}) holds {varints} varints, "
             "not a whole number of triples"
         )
-    return terminators // 3
+    return terminators
+
+
+def node_header(data: bytes, terminators: bytes, local: int) -> tuple[int, int] | None:
+    """``(delta_item, dpos)`` of the triple that starts at byte ``local``.
+
+    The backward walk's read (§3.4): ``data`` is one encoded subarray and
+    ``terminators`` its :func:`terminator_map`. The count, stored last,
+    is never decoded. ``dpos`` comes back zigzag-decoded.
+
+    Returns ``None`` when no triple starts at ``local``: it lies outside
+    the subarray, inside a varint, or after a number of varints that is
+    not a multiple of three. Raises :class:`CorruptBufferError` on a
+    field longer than :data:`MAX_ENCODED_LENGTH` bytes; the terminator
+    map already guarantees that no field runs past the subarray's end.
+    """
+    if (
+        not 0 <= local < len(data)
+        or (local and not terminators[local - 1])
+        or terminators.count(1, 0, local) % 3
+    ):
+        return None
+    delta_item = data[local]
+    if delta_item < 0x80:
+        offset = local + 1
+    else:
+        delta_item, offset = decode_from(data, local)
+    dpos_raw = data[offset]
+    if dpos_raw >= 0x80:
+        dpos_raw = decode_from(data, offset)[0]
+    if dpos_raw & 1:
+        return delta_item, -((dpos_raw + 1) >> 1)
+    return delta_item, dpos_raw >> 1
 
 
 def decode_triples_columns(buf: Buffer, start: int, end: int) -> TripleColumns:

@@ -364,9 +364,13 @@ class CfpArray:
     ``cache_budget`` > 0 enables a byte-budgeted LRU cache of bulk-decoded
     subarrays and a memo of resolved paths (:meth:`set_cache_budget`), for
     callers that ask for one rank's :meth:`prefix_paths` at a time and
-    revisit ancestors across calls: ``support`` queries and ``--jobs``
-    workers. The serial mine of an in-memory array reads neither; it
-    resolves every path in one :meth:`group_projection` sweep.
+    revisit ancestors across calls: ``--jobs`` workers and a cached
+    store's pattern-index mine. The serial mine of an in-memory array
+    reads neither; it resolves every path in one :meth:`group_projection`
+    sweep. Support queries (:func:`repro.util.queries.support_in_cfp_array`)
+    decode their least frequent rank through the cache, read the paths
+    the memo already holds (:meth:`known_paths`) and walk node headers
+    (:meth:`encoded_subarray`) for the rest, never writing the memo.
     """
 
     #: Class-level defaults so hand-assembled instances (``__new__`` in the
@@ -500,6 +504,35 @@ class CfpArray:
         if cache is not None:
             cache.put(rank, entry, entry.decoded_bytes)
         return entry
+
+    def encoded_subarray(self, rank: int) -> bytes:
+        """One rank's encoded subarray, as a copy of its slice of the buffer.
+
+        What a backward walk reads node headers from
+        (:func:`repro.compress.varint.node_header`), without decoding the
+        subarray or touching the decoded-subarray cache.
+        """
+        self._check_rank(rank)
+        return memoryview(self.buffer)[
+            self.starts[rank] : self.starts[rank + 1]
+        ].tobytes()
+
+    def known_paths(
+        self, rank: int, locals_col: Sequence[int]
+    ) -> list[tuple[int, ...] | None] | None:
+        """The memoized prefix paths of ``rank``'s nodes at ``locals_col``.
+
+        One entry per local: the node's ancestor ranks as
+        :meth:`prefix_paths` resolved them, or ``None`` where the path
+        memo does not hold the node. ``None`` when the array has no memo.
+        Reads the memo without writing it.
+        """
+        memo = self._path_memo
+        if not memo:
+            return None
+        lookup = memo.get
+        key_base = rank << _LOCAL_BITS
+        return [lookup(key_base | local) for local in locals_col]
 
     def decode_subarray(self, rank: int) -> tuple[Triple, ...]:
         """Decoded ``(local, delta_item, dpos, count)`` rows in storage order.

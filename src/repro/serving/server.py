@@ -17,9 +17,10 @@ Ops: ``ping``, ``support`` (``items``), ``topk`` (``k``, optional
 connection stays usable after either.
 
 Every request is answered inline on the event loop, one at a time: a
-support query is one columnar walk, and top-k and rules read the
-store's pattern index, which the first of them mines once. Handing such
-short calls to a thread pool cost more than the calls themselves. Each
+support query decodes one subarray and walks back over the node headers
+of the ancestors it needs, and top-k and rules read the store's pattern
+index, which the first of them mines once. Handing such short calls to
+a thread pool cost more than the calls themselves. Each
 connection has at most one request in flight (responses go out in
 request order), request lines are capped at :data:`MAX_LINE_BYTES`, and
 TCP backpressure paces a client that stops reading, so nothing queues

@@ -13,12 +13,12 @@ and partitioned (v3) stores alike — and exposes the three query
 families the server serves: itemset support, top-k, and "also bought"
 rule recommendations.
 
-Support walks the array per query. Top-k and rules read a pattern
-index instead: the store mines its array once, at its own
-``min_support``, on the first top-k or rules query, and keeps every
-frequent itemset ordered by (support descending, rank tuple
-ascending). Top-k is a filtered prefix of that index and rules are
-derived from it, so no query mines after the first.
+Support walks the array per query, reading only the node headers its
+walks reach. Top-k and rules read a pattern index instead: the store
+mines its array once, at its own ``min_support``, on the first top-k or
+rules query, and keeps every frequent itemset ordered by (support
+descending, rank tuple ascending). Top-k is a filtered prefix of that
+index and rules are derived from it, so no query mines after the first.
 
 The sidecar stores the table's :meth:`repro.util.items.ItemTable.fingerprint`
 and the load path re-verifies it, so an item vocabulary that did not
@@ -211,7 +211,14 @@ class ServingStore:
     # -- queries --------------------------------------------------------
 
     def support(self, items: Iterable[Hashable]) -> int:
-        """Absolute support of an itemset (0 for unknown items)."""
+        """Absolute support of an itemset (0 for unknown items).
+
+        One decode of the least frequent item's subarray plus a backward
+        walk over node headers per node
+        (:func:`repro.util.queries.support_in_cfp_array`). Once the
+        pattern index is mined, each node answers from the path the
+        index mine memoized, without a walk.
+        """
         return itemset_support(self.array, self.table, items)
 
     def _patterns(self) -> list[Pattern]:

@@ -70,8 +70,9 @@ class PartitionedCfpArray(CfpArray):
     (``self.buffer`` stays empty) and every buffer-touching method is
     overridden to resolve through the hot set or the buffer pool. All
     recursive traversals (``project``, ``prefix_paths``, ``single_path``,
-    ``rank_support``) funnel through :meth:`subarray_columns`, so they
-    run unchanged. ``verify=True`` checks every content page against the
+    ``rank_support``) funnel through :meth:`subarray_columns`, and support
+    queries' backward walks through :meth:`encoded_subarray`, so they run
+    unchanged. ``verify=True`` checks every content page against the
     file's checksum trailer before the first read.
     """
 
@@ -235,8 +236,9 @@ class PartitionedCfpArray(CfpArray):
         start = file_offset - first_page * PAGE_SIZE
         return blob[start : start + length]
 
-    def _fetch_rank_bytes(self, rank: int) -> bytes:
+    def encoded_subarray(self, rank: int) -> bytes:
         """Encoded subarray bytes: pinned hot copy, or a pool read."""
+        self._check_rank(rank)
         hot = self._hot.get(rank)
         if hot is not None:
             return hot
@@ -251,8 +253,7 @@ class PartitionedCfpArray(CfpArray):
             cached = cache.get(rank)
             if cached is not None:
                 return cached
-        self._check_rank(rank)
-        chunk = self._fetch_rank_bytes(rank)
+        chunk = self.encoded_subarray(rank)
         entry = DecodedSubarray(*varint.decode_triples_columns(chunk, 0, len(chunk)))
         if cache is not None:
             cache.put(rank, entry, entry.decoded_bytes)
@@ -264,7 +265,7 @@ class PartitionedCfpArray(CfpArray):
         if self._node_count is None:
             total = 0
             for rank in range(1, self.n_ranks + 1):
-                chunk = self._fetch_rank_bytes(rank)
+                chunk = self.encoded_subarray(rank)
                 if chunk:
                     total += varint.count_triples(chunk, 0, len(chunk))
             self._node_count = total

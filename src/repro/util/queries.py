@@ -9,9 +9,11 @@ FP-tree or a CFP-array without mining anything.
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Hashable, Iterable
 
-from repro.core.cfp_array import CfpArray
+from repro.compress import varint
+from repro.core.cfp_array import CfpArray, _not_lower_rank
 from repro.errors import TreeError
 from repro.fptree.tree import FPTree
 from repro.util.items import ItemTable
@@ -34,30 +36,102 @@ def support_in_fp_tree(tree: FPTree, ranks: Iterable[int]) -> int:
 
 
 def support_in_cfp_array(array: CfpArray, ranks: Iterable[int]) -> int:
-    """Support of a rank itemset via the item index and prefix paths.
+    """Support of a rank itemset: a sideward scan plus backward walks.
 
-    The nodelink-free equivalent of the FP-tree query: resolve the prefix
-    path of every node in the least frequent rank's subarray and sum the
-    counts of the paths containing the rest of the itemset. Paths come
-    from :meth:`CfpArray.prefix_paths` — one columnar bulk decode per
-    subarray plus the memoized ancestor walk — instead of the per-node
-    ``path_ranks`` decode loop this used to run, which is the exact
-    hot-loop shape INV008 forbids and was quadratic in shared-ancestor
-    chains once this became the serving hot path.
+    The paper's query. The least frequent rank's subarray is decoded once,
+    as columns (:meth:`CfpArray.subarray_columns`), and each of its nodes
+    counts if its path holds the rest of the itemset. A node whose path
+    the array's memo already holds (:meth:`CfpArray.known_paths`, filled
+    by a cached array's pattern-index mine) answers from that path.
+    Otherwise the node walks up one header at a time: ``delta_item`` and
+    ``dpos`` read in place from its ancestors' encoded subarrays
+    (:func:`repro.compress.varint.node_header`), never ``count`` (§3.4),
+    each ancestor rank's bytes fetched once per query. A walk ends at the
+    first needed rank it passes below, at the root, or once it has met
+    every needed rank. Whether the rest of a walk succeeds depends only
+    on the node it has reached, so a per-query memo records each visited
+    node's outcome and later walks stop there. The query never writes
+    the array's path memo.
+
+    Every header read keeps :meth:`CfpArray.prefix_paths`' checks: a
+    parent link must climb to a lower rank and land on a node start
+    (:class:`TreeError`), and a truncated varint raises
+    :class:`repro.errors.CorruptBufferError`.
     """
     wanted = sorted(set(ranks))
     if not wanted:
         raise TreeError("itemset must not be empty")
     if wanted[0] < 1 or wanted[-1] > array.n_ranks:
         return 0
-    least = wanted[-1]
-    others = set(wanted[:-1])
-    if not others:
+    least = wanted.pop()
+    if not wanted:
         # Singleton: one C-speed sum over the counts column, no walks.
         return array.rank_support(least)
+    entry = array.subarray_columns(least)
+    known = array.known_paths(least, entry.locals)
+    needed = set(wanted)
+    top = len(wanted) - 1
+    # Per ancestor rank: its encoded bytes, their terminator map, and
+    # the outcome of every node of it a walk has reached, by local.
+    reached: dict[int, tuple[bytes, bytes, dict[int, bool]]] = {}
     support = 0
-    for path, count in array.prefix_paths(least):
-        if others <= set(path):
+    for path, local, delta_item, dpos, count in zip(
+        repeat(None) if known is None else known,
+        entry.locals,
+        entry.delta_items,
+        entry.dposes,
+        entry.counts,
+    ):
+        if path is not None:
+            if needed <= set(path):
+                support += count
+            continue
+        rank = least
+        pending = top
+        target = wanted[top]
+        chain: list[tuple[dict[int, bool], int]] = []
+        while True:
+            parent_rank = rank - delta_item
+            if parent_rank == 0:
+                found = False
+                break
+            if not 0 < parent_rank < rank:
+                raise _not_lower_rank(rank, local, parent_rank)
+            if parent_rank < target:
+                found = False
+                break
+            parent_local = local - dpos
+            state = reached.get(parent_rank)
+            if state is None:
+                data = array.encoded_subarray(parent_rank)
+                state = reached[parent_rank] = (
+                    data,
+                    varint.terminator_map(data),
+                    {},
+                )
+            data, terminators, outcomes = state
+            seen = outcomes.get(parent_local)
+            if seen is not None:
+                found = seen
+                break
+            header = varint.node_header(data, terminators, parent_local)
+            if header is None:
+                raise TreeError(
+                    f"dpos chain from rank {least} lands at rank "
+                    f"{parent_rank} local {parent_local}, not a node start"
+                )
+            chain.append((outcomes, parent_local))
+            if parent_rank == target:
+                if not pending:
+                    found = True
+                    break
+                pending -= 1
+                target = wanted[pending]
+            rank, local = parent_rank, parent_local
+            delta_item, dpos = header
+        for outcomes, reached_local in chain:
+            outcomes[reached_local] = found
+        if found:
             support += count
     return support
 

@@ -7,6 +7,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from repro.compress import varint
+from repro.core.cfp_array import CfpArray
+
 
 def paper_example_database() -> list[list[int]]:
     """A small database shaped like the paper's Figure 1 setting.
@@ -67,3 +70,24 @@ def normalize(results) -> dict[frozenset, int]:
         assert key not in normalized, f"duplicate itemset {sorted(key)}"
         normalized[key] = support
     return normalized
+
+
+def encoded_triple(delta_item: int, dpos: int, count: int) -> bytes:
+    """One node's ``(delta_item, dpos, count)`` triple, encoded."""
+    out = bytearray(varint.triple_size(delta_item, dpos, count))
+    varint.encode_triples(out, 0, [(delta_item, dpos, count)])
+    return bytes(out)
+
+
+def hand_built_array(n_ranks: int, subarrays: dict[int, list[bytes]]) -> CfpArray:
+    """An array from raw per-rank bytes (one ``bytes`` per node).
+
+    The corruption tests build arrays whose links are wrong on purpose.
+    """
+    buffer = bytearray()
+    starts = [0, 0]
+    for rank in range(1, n_ranks + 1):
+        for node in subarrays.get(rank, []):
+            buffer += node
+        starts.append(len(buffer))
+    return CfpArray(n_ranks, bytes(buffer), starts)

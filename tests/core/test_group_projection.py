@@ -12,7 +12,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.compress import varint
 from repro.core.cfp_array import CfpArray
 from repro.core.cfp_growth import DEFAULT_CACHE_BUDGET, mine_array
 from repro.core.conversion import convert
@@ -20,29 +19,17 @@ from repro.core.ternary import TernaryCfpTree
 from repro.errors import CorruptBufferError, ReproError, TreeError
 from repro.fptree.growth import CountCollector
 from repro.util.items import prepare_transactions
-from tests.conftest import db_strategy, random_database
+from tests.conftest import (
+    db_strategy,
+    encoded_triple,
+    hand_built_array,
+    random_database,
+)
 
 
 def _array(database, min_support: int) -> CfpArray:
     table, transactions = prepare_transactions(database, min_support)
     return convert(TernaryCfpTree.from_rank_transactions(transactions, len(table)))
-
-
-def _hand_built(n_ranks: int, subarrays: dict[int, list[bytes]]) -> CfpArray:
-    """An array from raw per-rank bytes (one ``bytes`` per node)."""
-    buffer = bytearray()
-    starts = [0, 0]
-    for rank in range(1, n_ranks + 1):
-        for node in subarrays.get(rank, []):
-            buffer += node
-        starts.append(len(buffer))
-    return CfpArray(n_ranks, bytes(buffer), starts)
-
-
-def _triple(delta_item: int, dpos: int, count: int) -> bytes:
-    out = bytearray(varint.triple_size(delta_item, dpos, count))
-    varint.encode_triples(out, 0, [(delta_item, dpos, count)])
-    return bytes(out)
 
 
 @given(database=db_strategy, min_support=st.integers(min_value=1, max_value=3))
@@ -75,35 +62,39 @@ def _raises_like_project(array: CfpArray, match: str) -> None:
 
 def test_delta_item_that_does_not_climb():
     # Rank 2's node points at rank 2 itself, then at rank -1.
-    _raises_like_project(
-        _hand_built(2, {1: [_triple(1, 0, 2)], 2: [_triple(0, 0, 1)]}),
-        "not a lower rank",
-    )
-    _raises_like_project(
-        _hand_built(2, {1: [_triple(1, 0, 2)], 2: [_triple(3, 0, 1)]}),
-        "not a lower rank",
-    )
+    for delta_item in (0, 3):
+        array = hand_built_array(
+            2, {1: [encoded_triple(1, 0, 2)], 2: [encoded_triple(delta_item, 0, 1)]}
+        )
+        _raises_like_project(array, "not a lower rank")
 
 
 @pytest.mark.parametrize("dpos", [-1, -4, 1, -30])
 def test_dpos_that_misses_a_node_start(dpos):
     # Rank 1 holds nodes at locals 0 and 3; rank 2's node at local 0
     # points at local -dpos: mid-node, past the end, or before the start.
-    array = _hand_built(
+    array = hand_built_array(
         2,
-        {1: [_triple(1, 0, 2), _triple(1, 0, 1)], 2: [_triple(1, dpos, 1)]},
+        {
+            1: [encoded_triple(1, 0, 2), encoded_triple(1, 0, 1)],
+            2: [encoded_triple(1, dpos, 1)],
+        },
     )
     _raises_like_project(array, "not a node start")
 
 
 def test_parent_in_an_empty_subarray():
-    array = _hand_built(3, {1: [_triple(1, 0, 1)], 3: [_triple(1, 0, 1)]})
+    array = hand_built_array(
+        3, {1: [encoded_triple(1, 0, 1)], 3: [encoded_triple(1, 0, 1)]}
+    )
     _raises_like_project(array, "not a node start")
 
 
 def test_truncated_varint():
     # Rank 2's count runs past the end of its subarray.
-    array = _hand_built(2, {1: [_triple(1, 0, 1)], 2: [bytes([1, 0, 0x80])]})
+    array = hand_built_array(
+        2, {1: [encoded_triple(1, 0, 1)], 2: [bytes([1, 0, 0x80])]}
+    )
     _raises_like_project(array, "truncated")
     with pytest.raises(CorruptBufferError):
         array.group_projection([2])

@@ -10,9 +10,12 @@ real server (docs/streaming.md):
    same window with the same frozen item table.
 2. **served parity across a flip** — an NDJSON ``ReproServer`` over a
    :class:`FollowingStore` answers support queries while a new
-   generation is published under it. Every response must succeed (zero
-   drops) and pre-/post-flip answers must equal direct counts over the
-   respective windows; the ``stats`` op must show the new generation.
+   generation is published under it: a singleton, and two or three
+   items of one window transaction, which the server answers with
+   backward walks. Every response must succeed (zero drops); answers
+   before the flip must equal direct counts over the old window, during
+   it over either window, and after the ``stats`` op shows the new
+   generation over the new one.
 3. **delta.merge chaos** — ``REPRO_FAULTS=delta.merge:kill:times=1``
    kills the streaming process at its first merge; the snapshot
    directory must be left consistent (no manifest, or a loadable one),
@@ -167,8 +170,30 @@ def _count_support(window: list[list[int]], probe: list) -> int:
     return sum(1 for transaction in window if wanted <= set(transaction))
 
 
+def _walk_probe(table, transactions: list[list[int]]) -> list:
+    """Two or three frequent items of one window transaction.
+
+    A singleton's support is one column sum; an itemset of several items
+    makes the server walk node headers back from its least frequent item.
+    The probe takes a transaction's most and least frequent items and
+    one between, so the walks climb far.
+    """
+    for transaction in transactions:
+        ranks = sorted({table.rank_of[i] for i in transaction if i in table.rank_of})
+        if len(ranks) >= 2:
+            picks = sorted({ranks[0], ranks[len(ranks) // 2], ranks[-1]})
+            return [table.item_of[rank] for rank in picks]
+    _fail("no window transaction holds two frequent items")
+    return []
+
+
 async def _drive_flip(server, store, manager, miner, table, batches) -> None:
-    probe = [table.item_of[1]]
+    # A singleton is one column sum; the walk probe makes a freshly
+    # flipped store run backward walks.
+    probes = {
+        "singleton": [table.item_of[1]],
+        "walk": _walk_probe(table, batches[0]),
+    }
     reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
 
     async def ask(payload: dict) -> dict:
@@ -176,49 +201,56 @@ async def _drive_flip(server, store, manager, miner, table, batches) -> None:
         await writer.drain()
         return json.loads(await reader.readline())
 
-    window_pre = [t for b in batches[:WINDOW] for t in b]
-    expected_pre = _count_support(window_pre, probe)
+    async def supports(when: str) -> dict[str, int]:
+        results = {}
+        for name, probe in probes.items():
+            response = await ask({"op": "support", "items": probe})
+            if not response.get("ok"):
+                _fail(f"{when} query for {probe} failed: {response}")
+            results[name] = response["result"]
+        return results
+
+    def counted(window: list[list[int]]) -> dict[str, int]:
+        return {name: _count_support(window, probe) for name, probe in probes.items()}
+
+    expected_pre = counted([t for b in batches[:WINDOW] for t in b])
+    expected_post = counted([t for b in batches[1 : WINDOW + 1] for t in b])
     for __ in range(50):
-        response = await ask({"op": "support", "items": probe})
-        if not response.get("ok"):
-            _fail(f"pre-flip query failed: {response}")
-        if response["result"] != expected_pre:
-            _fail(
-                f"pre-flip support {response['result']} != direct count "
-                f"{expected_pre}"
-            )
+        results = await supports("pre-flip")
+        if results != expected_pre:
+            _fail(f"pre-flip supports {results} != direct counts {expected_pre}")
 
     # Publish the next window under live traffic.
     miner.append_batch(batches[WINDOW])
     new_generation = manager.publish(
         miner.to_array(), table, miner.window_transactions
     )
-    window_post = [t for b in batches[1 : WINDOW + 1] for t in b]
-    expected_post = _count_support(window_post, probe)
     flipped = False
     for __ in range(400):
-        response = await ask({"op": "support", "items": probe})
-        if not response.get("ok"):
-            _fail(f"query dropped during flip: {response}")
-        if response["result"] == expected_post:
+        results = await supports("mid-flip")
+        for name, result in results.items():
+            if result not in (expected_pre[name], expected_post[name]):
+                _fail(
+                    f"mid-flip support of {probes[name]} {result} matches "
+                    f"neither window ({expected_pre[name]} pre, "
+                    f"{expected_post[name]} post)"
+                )
+        stats = await ask({"op": "stats"})
+        if stats.get("ok") and stats["result"].get("generation") == new_generation:
             flipped = True
             break
-        if response["result"] != expected_pre:
-            _fail(
-                f"mid-flip support {response['result']} matches neither "
-                f"window ({expected_pre} pre, {expected_post} post)"
-            )
         await asyncio.sleep(0.02)
     if not flipped:
-        _fail("server never served the new generation")
-    stats = await ask({"op": "stats"})
-    if not stats.get("ok") or stats["result"].get("generation") != new_generation:
-        _fail(f"stats after flip does not show generation {new_generation}: {stats}")
+        _fail(f"stats never showed generation {new_generation}: {stats}")
+    results = await supports("post-flip")
+    if results != expected_post:
+        _fail(f"post-flip supports {results} != direct counts {expected_post}")
     writer.close()
     await writer.wait_closed()
     print(
         f"incremental-check: served parity across flip to generation "
-        f"{new_generation} (zero dropped queries)"
+        f"{new_generation} for {probes['singleton']} and {probes['walk']} "
+        f"(zero dropped queries)"
     )
 
 
