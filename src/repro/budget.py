@@ -35,8 +35,7 @@ def snapshot_plan(
 ) -> tuple[int | None, int]:
     """How to store an array of ``array_bytes`` under a memory budget.
 
-    The one budget planner: :func:`mine_with_budget` spills by it, and so
-    does the bench's out-of-core leg, while
+    The one budget planner: :func:`mine_with_budget` spills by it, and
     :meth:`repro.streaming.snapshots.SnapshotManager.publish` partitions
     a snapshot by it for the store that will open the result. Returns
     ``(partition_bytes, hot_bytes)``. ``memory_budget=None`` (or a budget

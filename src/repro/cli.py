@@ -12,7 +12,6 @@ Usage (after installation)::
     python -m repro check tree.cfpt array.cfpa
     python -m repro compact array.cfpa --threshold 0.25
     python -m repro experiment table1
-    python -m repro bench --quick
     python -m repro serve data.fimi --min-support 100 --port 7171
     python -m repro stream data.fimi --window 8 --snapshot-dir snaps/
     python -m repro serve snaps/ --follow --port 7171
@@ -298,12 +297,6 @@ def _cmd_compact(args) -> int:
                 f"{report.partitions_before} partitions)"
             )
     return exit_code
-
-
-def _cmd_bench(args) -> int:  # pragma: no cover - dispatched early in main()
-    from repro import bench
-
-    return bench.main([])
 
 
 def _cmd_stream(args) -> int:
@@ -735,27 +728,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.set_defaults(func=_cmd_experiment)
 
-    # `bench` is listed for discoverability but dispatched early in main():
-    # repro.bench.main owns its full argparse surface (shared with
-    # benchmarks/regression.py), and argparse.REMAINDER cannot forward
-    # leading options through a subparser.
-    bench = sub.add_parser(
-        "bench",
-        help="wall-clock perf benchmark with regression gate",
-        add_help=False,
-    )
-    bench.set_defaults(func=_cmd_bench)
-
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        from repro import bench
-
-        return bench.main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

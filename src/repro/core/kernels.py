@@ -57,7 +57,7 @@ PathCounts = Sequence[tuple[Sequence[int], int]]
 def backend() -> str:
     """Active decode backend: ``"numpy"`` (vectorized) or ``"python"``.
 
-    Reported in bench machine info and worker spans so a perf report
+    Recorded on ``mine_rank`` and ``mine_parallel`` spans so a trace
     records which kernel produced it; numpy is auto-detected and can be
     disabled with ``REPRO_NO_NUMPY`` (see docs/performance.md).
     """

@@ -19,20 +19,31 @@ from repro.obs.report import (
     read_trace,
     summarize_spans,
 )
+from tests.conftest import random_database
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
 
-@pytest.fixture(scope="module")
-def check_trace():
+def _load_tool(name):
+    """Import ``tools/<name>.py`` by path; yields the module."""
     spec = importlib.util.spec_from_file_location(
-        "check_trace", REPO_ROOT / "tools" / "check_trace.py"
+        name, REPO_ROOT / "tools" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     yield module
     sys.modules.pop(spec.name, None)
+
+
+@pytest.fixture(scope="module")
+def check_trace():
+    yield from _load_tool("check_trace")
+
+
+@pytest.fixture(scope="module")
+def trace_overhead():
+    yield from _load_tool("trace_overhead")
 
 
 class TestSpans:
@@ -319,3 +330,15 @@ class TestDisabledOverhead:
 
         results = cfp_growth([[1, 2], [1, 2], [2, 3]], 2)
         assert results
+
+
+class TestTraceOverhead:
+    def test_measure_returns_schema(self, trace_overhead):
+        result = trace_overhead.measure_trace_overhead(
+            random_database(2, n_transactions=60, n_items=10, max_length=7),
+            2,
+            repeats=1,
+        )
+        assert set(result) == {"plain_s", "traced_s", "overhead_pct"}
+        assert result["plain_s"] > 0
+        assert result["traced_s"] > 0

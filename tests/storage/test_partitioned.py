@@ -6,9 +6,11 @@ import random
 
 import pytest
 
+from repro.budget import MIN_POOL_PAGES, snapshot_plan
 from repro.core.cfp_growth import mine_array
 from repro.core.conversion import convert
 from repro.core.ternary import TernaryCfpTree
+from repro.datasets.quest import QuestGenerator
 from repro.fptree.growth import ListCollector
 from repro.storage import (
     PAGE_SIZE,
@@ -321,6 +323,54 @@ class TestPartitionedMining:
             got = ListCollector()
             mine_array(disk, MIN_SUPPORT, got)
         assert got.itemsets == reference.itemsets
+
+
+class TestOutOfCoreBudget:
+    def test_tenth_budget_mine_reads_under_ceiling_and_prefetch_hits(
+        self, tmp_path
+    ):
+        # A Quest set mined through a budget of one tenth of its array,
+        # split by the one budget planner: 28 partitions of a 238 KB
+        # store. Each partition's projection sweep reads a page at most
+        # once and read-ahead adds at most one more pass over the file,
+        # so bytes read stay under (partitions + 1) x file_bytes. A mine
+        # that walks the store rank by rank instead reads about 63 MB
+        # with identical itemsets, so only the ceiling catches it; with
+        # REPRO_PREFETCH=0 nothing is read ahead and the hits check fails.
+        database = QuestGenerator(
+            n_transactions=4_000,
+            avg_transaction_length=12.0,
+            avg_pattern_length=4.0,
+            n_items=900,
+            n_patterns=250,
+            seed=202,
+        ).generate()
+        min_support = 10
+        table, transactions = prepare_transactions(database, min_support)
+        array = convert(
+            TernaryCfpTree.from_rank_transactions(transactions, len(table))
+        )
+        reference = ListCollector()
+        mine_array(array, min_support, reference)
+
+        budget = max(3 * PAGE_SIZE, array.memory_bytes // 10)
+        partition_bytes, hot_bytes = snapshot_plan(budget, array.memory_bytes)
+        pool_pages = max(MIN_POOL_PAGES, (budget - hot_bytes) // PAGE_SIZE)
+        path = tmp_path / "ooc.cfpa"
+        file_bytes = save_cfp_array_partitioned(
+            array, path, partition_bytes=partition_bytes
+        )
+        with PartitionedCfpArray(
+            path, pool_pages=pool_pages, hot_bytes=hot_bytes
+        ) as disk:
+            got = ListCollector()
+            mine_array(disk, min_support, got)
+            disk.prefetch_drain()
+            ceiling = (len(disk.partitions) + 1) * file_bytes
+            stats = disk.pool.stats
+        assert got.itemsets == reference.itemsets
+        assert stats.bytes_read <= ceiling, (stats.bytes_read, ceiling)
+        assert stats.prefetch_hits > 0, stats
 
 
 class TestCompaction:

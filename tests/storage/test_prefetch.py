@@ -182,7 +182,7 @@ class TestPrefetcherThread:
         assert got.itemsets == reference
 
     def test_prefetch_improves_hit_rate(self, store):
-        """The counter the bench gates on: read-ahead must actually hit."""
+        """Read-ahead that loads pages must see some of them hit."""
         with PartitionedCfpArray(store, pool_pages=8) as disk:
             got = ListCollector()
             mine_array(disk, MIN_SUPPORT, got)

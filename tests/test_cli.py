@@ -122,16 +122,6 @@ class TestJobs:
         assert "--jobs ignored" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_bench_dispatches_with_passthrough_args(self, tmp_path, capsys):
-        # The bench subcommand forwards everything to repro.bench.main —
-        # --help must come from the bench parser, not the repro parser.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--help"])
-        assert excinfo.value.code == 0
-        assert "--tolerance" in capsys.readouterr().out
-
-
 class TestTrace:
     @pytest.fixture(autouse=True)
     def _clean_obs(self):

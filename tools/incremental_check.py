@@ -2,7 +2,8 @@
 """End-to-end incremental-streaming check (the CI incremental-smoke job).
 
 Four legs over one synthetic stream, each exercising the real CLI or the
-real server (docs/streaming.md):
+real server (docs/streaming.md), and one in-process leg that times the
+merge path:
 
 1. **byte identity** — ``repro stream`` (fresh process) publishes
    snapshots per batch over a sliding window; the final generation's
@@ -24,6 +25,10 @@ real server (docs/streaming.md):
 4. **snapshot.flip chaos** — a kill between manifest write and rename
    must leave the previous manifest state intact; the re-run must again
    converge to the reference bytes.
+5. **merge vs rebuild** — the quick quest-T10I4 set streamed in 8
+   batches through delta merges must encode to the same bytes as a
+   from-scratch rebuild, in under half the wall time of rebuilding at
+   every batch.
 
 ``--artifacts-dir DIR`` keeps the work files (traces, snapshot dirs)
 under DIR instead of a temp dir, so CI can upload them.
@@ -40,6 +45,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 MIN_SUPPORT = 4
 BATCH_SIZE = 60
@@ -149,7 +155,7 @@ def _assert_identical(published, reference, leg: str) -> None:
         bytes(published.buffer) != bytes(reference.buffer)
         or published.starts != reference.starts
     ):
-        _fail(f"{leg}: published array is not byte-identical to the rebuild")
+        _fail(f"{leg}: array is not byte-identical to the rebuild")
 
 
 def _identity_leg(dataset: str, database: list[list[int]], workdir: str):
@@ -321,6 +327,76 @@ def _chaos_leg(
     )
 
 
+#: The merge leg streams its set in this many batches, and fails when the
+#: delta-merge wall reaches this fraction of the rebuild wall: above it
+#: the incremental path has stopped paying for its complexity.
+MERGE_BATCHES = 8
+MERGE_MAX_RATIO = 0.5
+
+
+def _merge_leg() -> None:
+    """Stream one dataset in batches; compare against per-batch rebuilds.
+
+    The incremental arm maintains the window forest across
+    :data:`MERGE_BATCHES` appends (delta tree build + flatten + merge
+    each) and converts once at the end — the `repro stream` maintenance
+    shape. The rebuild arm rebuilds the CFP-tree from scratch over each
+    growing prefix and converts it every batch — what a non-incremental
+    pipeline would do to keep a snapshot fresh. Both use the same frozen
+    item table, so the final arrays must be byte-identical, and the wall
+    ratio must stay under :data:`MERGE_MAX_RATIO`.
+    """
+    from repro.core.conversion import convert
+    from repro.core.ternary import TernaryCfpTree
+    from repro.streaming import CountingPhase, IncrementalMiner
+    from trace_overhead import quest_t10i4
+
+    database, min_support = quest_t10i4()
+    counting = CountingPhase()
+    counting.add_batch(database)
+    table = counting.finish(min_support)
+    rank_of = table.rank_of
+    size = max(1, (len(database) + MERGE_BATCHES - 1) // MERGE_BATCHES)
+    chunks = [database[start : start + size] for start in range(0, len(database), size)]
+
+    miner = IncrementalMiner(table)
+    incremental_wall = 0.0
+    for chunk in chunks:
+        started = time.perf_counter()
+        miner.append_batch(chunk)
+        incremental_wall += time.perf_counter() - started
+    started = time.perf_counter()
+    incremental_array = miner.to_array()
+    incremental_wall += time.perf_counter() - started
+
+    rebuild_wall = 0.0
+    rebuilt = None
+    prefix: list[list[int]] = []
+    for chunk in chunks:
+        prefix.extend(chunk)
+        started = time.perf_counter()
+        ranked = [
+            sorted({rank_of[item] for item in transaction if item in rank_of})
+            for transaction in prefix
+        ]
+        tree = TernaryCfpTree.from_rank_transactions(ranked, len(table))
+        rebuilt = convert(tree)
+        rebuild_wall += time.perf_counter() - started
+        del tree
+    _assert_identical(incremental_array, rebuilt, "merge leg")
+    ratio = incremental_wall / rebuild_wall
+    if ratio >= MERGE_MAX_RATIO:
+        _fail(
+            f"merge leg: delta-merge wall is {ratio:.2f}x the rebuild wall "
+            f"(must stay under {MERGE_MAX_RATIO:.2f}x at {len(chunks)} batches)"
+        )
+    print(
+        f"incremental-check: {len(chunks)} batches merged to the rebuild's "
+        f"bytes in {incremental_wall:.3f}s vs {rebuild_wall:.3f}s rebuilding "
+        f"(ratio {ratio:.2f}, max {MERGE_MAX_RATIO:.2f})"
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -342,6 +418,7 @@ def main() -> int:
     _flip_leg(database, workdir)
     _chaos_leg(dataset, reference, workdir, "delta.merge")
     _chaos_leg(dataset, reference, workdir, "snapshot.flip")
+    _merge_leg()
 
     print("incremental-check: OK")
     return 0
